@@ -2,7 +2,7 @@
 // manager with the observability layer enabled, then export
 //   * trace.json    — Chrome trace-event timeline (open in chrome://tracing
 //                     or https://ui.perfetto.dev): frame/task/stripe spans on
-//                     the simulated platform, wall-clock spans on the host;
+//                     the simulated platform, spans and counters on the host;
 //   * metrics.prom  — Prometheus text exposition of every tripleC_* metric;
 //   * metrics.csv   — one row per frame (predicted/measured/output latency,
 //                     prediction-error percent, plan width, QoS level);
@@ -80,6 +80,10 @@ int main() {
   plat::ThreadPool pool(4);
   app::StentBoostApp app(config, &pool);
 
+  // Ledger rows become the trace's "ledger <node> cpu_ms" counter tracks.
+  obs::PredictionLedger ledger;
+  gp.set_ledger(&ledger);
+
   rt::ManagerConfig mc;
   mc.warmup_frames = 10;
   mc.budget_headroom = 1.0;
@@ -108,7 +112,7 @@ int main() {
 
   // ---- exports -----------------------------------------------------------
   obs::ObsContext& ctx = obs::global();
-  const std::string trace_json = ctx.tracer.to_chrome_json();
+  const std::string trace_json = obs::chrome_trace_json(ctx);
   const std::string prom = obs::to_prometheus(ctx.metrics);
   const std::string csv = obs::frame_log_csv(ctx.frames);
   bool ok = obs::write_text_file("trace.json", trace_json) &&
@@ -118,8 +122,8 @@ int main() {
     std::fprintf(stderr, "failed to write export files\n");
     return 1;
   }
-  std::printf("wrote trace.json   (%zu span events; load in Perfetto)\n",
-              ctx.tracer.size());
+  std::printf("wrote trace.json   (%zu flight events; load in Perfetto)\n",
+              ctx.flight.size());
   std::printf("wrote metrics.prom (%zu instruments)\n", ctx.metrics.size());
   std::printf("wrote metrics.csv  (%zu frame rows)\n\n", ctx.frames.size());
 

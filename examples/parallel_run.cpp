@@ -90,10 +90,9 @@ int main() {
 
   obs::ObsContext& ctx = obs::global();
   if (obs::write_text_file("parallel_run_trace.json",
-                           ctx.tracer.to_chrome_json())) {
-    std::printf("\nwrote parallel_run_trace.json (%zu events) — open in "
-                "chrome://tracing\n",
-                ctx.tracer.size());
+                           obs::chrome_trace_json(ctx))) {
+    std::printf(
+        "\nwrote parallel_run_trace.json — open in chrome://tracing\n");
   }
   if (obs::write_text_file("parallel_run_metrics.prom",
                            obs::to_prometheus(ctx.metrics))) {

@@ -366,8 +366,6 @@ graph::FrameRecord StentBoostApp::process_frame(i32 t) {
 
 graph::FrameRecord StentBoostApp::process_image(i32 t,
                                                 const img::ImageU16& frame) {
-  obs::ScopedSpan host_span = obs::host_span("app_process_frame", "app");
-  host_span.arg("frame", std::to_string(t));
   obs::ScopedTimer wall;
 
   FrameContext& ctx = *admit_image(t, frame);

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 
 namespace tc::common {
@@ -367,6 +368,13 @@ std::string json_escape(std::string_view s) {
     }
   }
   return out;
+}
+
+std::string json_number(f64 v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  return std::string(buf, res.ptr);
 }
 
 }  // namespace tc::common

@@ -107,4 +107,8 @@ class JsonValue {
 /// included): `"`, `\`, control characters.
 [[nodiscard]] std::string json_escape(std::string_view s);
 
+/// Shortest text that parses back to exactly `v` ("null" when not finite):
+/// what the writers use for numbers a reader must recover bit for bit.
+[[nodiscard]] std::string json_number(f64 v);
+
 }  // namespace tc::common

@@ -70,6 +70,11 @@ f64 correlation_time(std::span<const f64> xs, usize max_lag) {
   return -1.0 / fit.slope;
 }
 
+std::optional<f64> relative_error_pct(f64 predicted, f64 measured) {
+  if (std::fabs(measured) < 1e-9) return std::nullopt;
+  return (predicted - measured) / std::fabs(measured) * 100.0;
+}
+
 f64 percentile(std::span<const f64> xs, f64 p) {
   if (xs.empty()) return 0.0;
   std::vector<f64> s(xs.begin(), xs.end());

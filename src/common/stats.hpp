@@ -3,6 +3,7 @@
 // percentiles, histogramming and ordinary least squares.
 #pragma once
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -34,6 +35,13 @@ namespace tc {
 /// Fit r(lag) ≈ exp(-lag/tau) and return tau (the correlation time).
 /// Returns 0 when the series decorrelates immediately.
 [[nodiscard]] f64 correlation_time(std::span<const f64> xs, usize max_lag);
+
+/// Signed relative prediction error in percent, (predicted - measured) /
+/// |measured| * 100; nullopt when |measured| < 1e-9 (no meaningful
+/// reference).  The one error definition every accuracy report, drift
+/// detector, ledger row and error histogram reads.
+[[nodiscard]] std::optional<f64> relative_error_pct(f64 predicted,
+                                                    f64 measured);
 
 /// Linear interpolated percentile; p in [0, 100].
 [[nodiscard]] f64 percentile(std::span<const f64> xs, f64 p);

@@ -5,7 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <deque>
-#include <optional>
+#include <numeric>
 #include <string>
 #include <utility>
 
@@ -319,10 +319,9 @@ f64 Executor::plan_frame(i32 t, i32 frames_in_flight, ExecutedFrame& result) {
     result.predicted_host_ms = choice.estimated_ms;
     if (obs::enabled()) {
       obs::FlightRecorder& flight = obs::global().flight;
-      i32 total_stripes = 0;
-      for (i32 s : plan) total_stripes += s;
       flight.record(obs::FrEventType::PlanChoice, t, -1,
-                    static_cast<f64>(total_stripes), choice.estimated_ms);
+                    std::accumulate(plan.begin(), plan.end(), 0.0),
+                    choice.estimated_ms);
       if (frame_markov_.fitted()) {
         flight.record(
             obs::FrEventType::MarkovState, t, -1,
@@ -439,15 +438,6 @@ ExecutedFrame Executor::step(i32 t) {
   ExecutedFrame result;
   const f64 ewma_total = plan_frame(t, /*frames_in_flight=*/1, result);
 
-  std::optional<obs::ScopedSpan> span;
-  if (obs::enabled()) {
-    span.emplace(&obs::global().tracer, "frame " + std::to_string(t),
-                 "exec-frame");
-    span->arg("plan", rt::plan_to_string(result.plan));
-    if (result.managed) {
-      span->arg("predicted_ms", std::to_string(result.predicted_host_ms));
-    }
-  }
   graph::FrameRecord record = app_.process_frame(t);
   // The frame's latency is the graph execution itself — the sum of the
   // measured task walls.  Rendering the synthetic input (process_frame's
@@ -469,13 +459,6 @@ ExecutedFrame Executor::step(i32 t) {
     }
     result.measured_host_ms += spike.busy_ms;
   }
-  result.scenario = record.scenario;
-  if (span.has_value()) {
-    span->arg("measured_ms", std::to_string(result.measured_host_ms));
-    span->arg("scenario", std::to_string(record.scenario));
-    span.reset();
-  }
-
   settle_frame(result, record, ewma_total);
   return result;
 }
@@ -526,6 +509,12 @@ void Executor::settle_frame(ExecutedFrame& result,
   }
 
   result.repartitioned = result.managed && result.plan != prev_plan_;
+  if (result.repartitioned && obs::enabled()) {
+    obs::global().flight.record(
+        obs::FrEventType::Repartition, result.frame, -1,
+        std::accumulate(result.plan.begin(), result.plan.end(), 0.0),
+        std::accumulate(prev_plan_.begin(), prev_plan_.end(), 0.0));
+  }
   prev_plan_ = result.plan;
 
   ++stats_.frames;
@@ -586,15 +575,6 @@ void Executor::record_frame_observability(const ExecutedFrame& f) {
     m.histogram("tripleC_exec_frame_predicted_ms",
                 "Predicted host latency of the chosen plan", bounds)
         .record(f.predicted_host_ms);
-  }
-
-  if (f.repartitioned) {
-    obs::SpanTracer& tracer = ctx.tracer;
-    tracer.instant("exec_repartition", "plan", obs::kHostPid, 0,
-                   tracer.host_now_us(),
-                   {{"frame", std::to_string(f.frame)},
-                    {"plan", rt::plan_to_string(f.plan)},
-                    {"predicted_ms", std::to_string(f.predicted_host_ms)}});
   }
 }
 

@@ -71,12 +71,6 @@ void StagePipeline::stage_loop(usize stage_index) {
   const bool last = stage_index + 1 == stages_.size();
   BoundedQueue<FramePacket>& in = *queues_[stage_index];
 
-  if (obs::enabled()) {
-    auto& tracer = obs::global().tracer;
-    tracer.set_thread_name(obs::kHostPid, tracer.host_tid(),
-                           "exec-stage " + stage.name);
-  }
-
   const StageContext ctx{stage.stripes, config_.stripe_pool};
   while (auto packet = in.pop()) {
     FramePacket& p = *packet;
@@ -103,10 +97,6 @@ void StagePipeline::stage_loop(usize stage_index) {
         const i32 stage_id = narrow<i32>(stage_index);
         flight.record(obs::FrEventType::StageStart, p.frame, stage_id);
         const f64 start_us = epoch_.elapsed_us();
-        auto span = obs::host_span(stage.name, "exec-stage");
-        span.arg("frame", std::to_string(p.frame));
-        span.arg("stripes", std::to_string(stage.stripes));
-        if (p.degraded) span.arg("degraded", "1");
         stage.work(p, ctx);
         flight.record(obs::FrEventType::StageEnd, p.frame, stage_id,
                       (epoch_.elapsed_us() - start_us) / 1000.0);

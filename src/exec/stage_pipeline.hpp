@@ -19,10 +19,11 @@
 // stage work, degrade = set the degraded flag stage bodies may consult,
 // run = finish regardless); late frames are counted either way.
 //
-// Observability: when obs::enabled(), every stage execution emits a host-
-// timeline span ("exec-stage") and the pipeline maintains
-// tripleC_exec_pipeline_* metrics, so the Chrome trace shows the real
-// host-side pipeline overlap next to the simulated timeline.
+// Observability: when obs::enabled(), every stage execution records a
+// stage_start/stage_end flight-event pair (the stage_end is the Chrome
+// trace's "exec-stage" span) and the pipeline maintains
+// tripleC_exec_pipeline_* metrics, so the trace shows the real host-side
+// pipeline overlap next to the simulated timeline.
 #pragma once
 
 #include <functional>

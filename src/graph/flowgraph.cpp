@@ -126,16 +126,14 @@ void FlowGraph::run_nodes(std::span<const i32> order, ExecContext& ctx,
     if (enabled) {
       // Stamp the host wall-clock time of the task body: the concurrent
       // executor's measured signal (the simulated time comes later, from
-      // the cost model).  Optionally emit a host-timeline span.
-      std::optional<obs::ScopedSpan> span;
-      if (obs::enabled()) {
-        span.emplace(&obs::global().tracer, std::string(node.task->name()),
-                     "graph-task");
-        span->arg("frame", std::to_string(ctx.frame));
-      }
+      // the cost model).  With obs on it also closes a host task span.
       obs::ScopedTimer timer;
       std::optional<img::WorkReport> work = node.task->execute(ctx);
       exec.host_ms = timer.elapsed_ms();
+      if (obs::enabled()) {
+        obs::global().flight.record(obs::FrEventType::TaskSpan, ctx.frame,
+                                    node_id, exec.host_ms);
+      }
       if (work.has_value()) {
         exec.executed = true;
         exec.work = *work;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/stats.hpp"
+
 namespace tc::obs {
 
 bool PageHinkley::observe(f64 x) {
@@ -63,9 +65,10 @@ DriftMonitor::Stream& DriftMonitor::stream_of(std::string_view name) {
 std::optional<DriftAlert> DriftMonitor::observe(std::string_view stream,
                                                 i32 frame, f64 predicted_ms,
                                                 f64 measured_ms) {
-  if (std::fabs(measured_ms) < 1e-9) return std::nullopt;
-  const f64 error_pct =
-      std::fabs(predicted_ms - measured_ms) / std::fabs(measured_ms) * 100.0;
+  const std::optional<f64> signed_error =
+      relative_error_pct(predicted_ms, measured_ms);
+  if (!signed_error.has_value()) return std::nullopt;
+  const f64 error_pct = std::fabs(*signed_error);
 
   std::optional<DriftAlert> alert;
   Callback cb;

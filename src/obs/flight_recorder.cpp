@@ -1,8 +1,7 @@
 #include "obs/flight_recorder.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <sstream>
+#include <limits>
 
 namespace tc::obs {
 
@@ -50,10 +49,28 @@ const char* to_string(FrEventType t) {
       return "stream_reject";
     case FrEventType::StreamRetire:
       return "stream_retire";
+    case FrEventType::TaskSpan:
+      return "task_span";
+    case FrEventType::PoolJob:
+      return "pool_job";
+    case FrEventType::SimTask:
+      return "sim_task";
+    case FrEventType::Repartition:
+      return "repartition";
+    case FrEventType::LedgerCpu:
+      return "ledger_cpu";
     case FrEventType::Custom:
       return "custom";
   }
   return "unknown";
+}
+
+std::optional<FrEventType> flight_event_type(std::string_view name) {
+  for (u16 t = 0; t <= static_cast<u16>(FrEventType::Custom); ++t) {
+    const auto type = static_cast<FrEventType>(t);
+    if (name == to_string(type)) return type;
+  }
+  return std::nullopt;
 }
 
 namespace {
@@ -197,24 +214,59 @@ void FlightRecorder::clear() {
 }
 
 std::string flight_events_json(std::span<const FlightEvent> events) {
-  std::ostringstream os;
-  os << "[";
-  char buf[64];
+  std::string out = "[";
   for (usize i = 0; i < events.size(); ++i) {
     const FlightEvent& e = events[i];
-    if (i != 0) os << ",";
-    os << "\n    {\"ts_us\": ";
-    std::snprintf(buf, sizeof(buf), "%.3f", e.ts_us);
-    os << buf << ", \"type\": \"" << to_string(e.type) << "\", \"tid\": "
-       << e.tid << ", \"frame\": " << e.frame << ", \"node\": " << e.node;
-    std::snprintf(buf, sizeof(buf), "%.6g", e.a);
-    os << ", \"a\": " << buf;
-    std::snprintf(buf, sizeof(buf), "%.6g", e.b);
-    os << ", \"b\": " << buf << "}";
+    if (i != 0) out += ",";
+    out += "\n    {\"ts_us\": " + common::json_number(e.ts_us) +
+           ", \"type\": \"" + to_string(e.type) +
+           "\", \"tid\": " + std::to_string(e.tid) +
+           ", \"frame\": " + std::to_string(e.frame) +
+           ", \"node\": " + std::to_string(e.node) +
+           ", \"a\": " + common::json_number(e.a) +
+           ", \"b\": " + common::json_number(e.b) + "}";
   }
-  if (!events.empty()) os << "\n  ";
-  os << "]";
-  return os.str();
+  if (!events.empty()) out += "\n  ";
+  out += "]";
+  return out;
+}
+
+namespace {
+
+/// An integer field of an outside document; missing, non-numeric or
+/// out-of-range values read as `fallback`.
+template <typename Int>
+Int int_field(const common::JsonValue& v, std::string_view key, Int fallback) {
+  const f64 x = v.number_or(key, static_cast<f64>(fallback));
+  return x >= static_cast<f64>(std::numeric_limits<Int>::min()) &&
+                 x <= static_cast<f64>(std::numeric_limits<Int>::max())
+             ? static_cast<Int>(x)
+             : fallback;
+}
+
+}  // namespace
+
+std::vector<FlightEvent> flight_events_from_json(
+    const common::JsonValue& array) {
+  std::vector<FlightEvent> events;
+  if (!array.is_array()) return events;
+  events.reserve(array.size());
+  for (usize i = 0; i < array.size(); ++i) {
+    const common::JsonValue& v = array.at(i);
+    const std::optional<FrEventType> type =
+        flight_event_type(v.string_or("type", ""));
+    if (!type.has_value()) continue;
+    FlightEvent e;
+    e.ts_us = v.number_or("ts_us", 0.0);
+    e.type = *type;
+    e.tid = int_field<u32>(v, "tid", 0);
+    e.frame = int_field<i32>(v, "frame", -1);
+    e.node = int_field<i32>(v, "node", -1);
+    e.a = v.number_or("a", 0.0);
+    e.b = v.number_or("b", 0.0);
+    events.push_back(e);
+  }
+  return events;
 }
 
 }  // namespace tc::obs

@@ -1,15 +1,17 @@
 // Flight recorder: per-thread lock-free ring buffers of compact structured
-// events — the black box the post-mortem bundles are cut from.
+// events — the process's one event store.  Post-mortem bundles are cut from
+// it, and every Chrome trace (obs/chrome_trace.hpp) is written from it.
 //
-// Hot-path contract (the reason this is not the span tracer):
-//   * record() takes NO mutex.  Each thread owns a private ring buffer; a
-//     write is a handful of relaxed atomic stores plus one release store
-//     publishing the slot.  Ring registration (first event of a thread) is
-//     the only mutex-protected step and happens once per thread.
+// Hot-path contract:
+//   * record() takes NO mutex and allocates nothing.  Each thread owns a
+//     private ring buffer; a write is a handful of relaxed atomic stores plus
+//     one release store publishing the slot.  Ring registration (first event
+//     of a thread) is the only mutex-protected step and happens once per
+//     thread.
 //   * When obs::enabled() is false the instrumented call sites skip the
 //     call entirely — one relaxed atomic load and a predictable branch.
-//   * The ring wraps: old events are overwritten, memory use is bounded at
-//     capacity_per_thread events per thread, forever.
+//   * The ring wraps: a thread's oldest events are overwritten, memory use
+//     is bounded at capacity_per_thread events per thread, forever.
 //
 // snapshot() is the cold path: it copies every thread's live window and
 // merges the events into one time-ordered stream (host-epoch microsecond
@@ -22,11 +24,14 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/sync.hpp"
 #include "common/types.hpp"
 #include "obs/scoped_timer.hpp"
@@ -35,14 +40,19 @@ namespace tc::obs {
 
 /// Event vocabulary of the recorder.  Kept deliberately small and numeric:
 /// an event is (type, frame, node, a, b) — the meaning of `node`, `a` and
-/// `b` per type is documented here and mirrored in DESIGN.md §5e.
+/// `b` per type is documented here and mirrored in DESIGN.md §5e.  `ts_us`
+/// is always the host time the event was recorded; a span is one event
+/// recorded when it closes (ts = end, a = its wall ms), and the runtime
+/// manager's simulated timeline travels in the payload.
 enum class FrEventType : u16 {
-  FrameStart = 0,   ///< frame begins; a = predicted ms (0 when unmanaged)
+  FrameStart = 0,   ///< frame begins; a = predicted ms (0 when unmanaged),
+                    ///<   b = simulated start ms (runtime manager only)
   FrameEnd,         ///< frame done; a = measured ms, b = deadline/budget ms
+                    ///<   (0 while unmanaged)
   QueuePush,        ///< node = queue id; a = depth after push
   QueuePop,         ///< node = queue id; a = depth after pop
   StageStart,       ///< node = stage index
-  StageEnd,         ///< node = stage index; a = stage wall ms
+  StageEnd,         ///< span: node = stage index; a = stage wall ms
   PlanChoice,       ///< a = total stripes of the plan, b = estimated ms
   QosTransition,    ///< a = new quality level, b = previous level
   NodeTiming,       ///< node id; a = predicted serial ms, b = measured
@@ -59,10 +69,21 @@ enum class FrEventType : u16 {
   StreamReject,     ///< node = stream id (-1 unassigned); a = demand,
                     ///<   b = 0 rejected / 1 queued
   StreamRetire,     ///< node = stream id; a = frames served, b = misses
+  TaskSpan,         ///< span: flow-graph node id; a = host wall ms
+  PoolJob,          ///< span: one thread-pool job; a = host wall ms
+  SimTask,          ///< simulated task of the frame whose frame_end precedes
+                    ///<   it on the ring; node id; a = simulated ms,
+                    ///<   b = stripes (the tasks of a frame run back to back)
+  Repartition,      ///< stripe plan changed; a = total stripes, b = previous
+  LedgerCpu,        ///< counter sample: node id; a = predicted CPU ms,
+                    ///<   b = actual CPU ms
   Custom,           ///< free-form marker from examples/tests
 };
 
 [[nodiscard]] const char* to_string(FrEventType t);
+/// Inverse of to_string; nullopt for an unknown name.
+[[nodiscard]] std::optional<FrEventType> flight_event_type(
+    std::string_view name);
 
 /// One decoded event (snapshot output; the in-ring representation is a slot
 /// of atomics).
@@ -78,9 +99,15 @@ struct FlightEvent {
 
 class FlightRecorder {
  public:
+  /// Events each thread's ring keeps (~384 KiB per recording thread): above
+  /// a 160-frame managed run's ~6k single-thread events, so one ring holds
+  /// a whole shipped example.
+  static constexpr usize kDefaultCapacityPerThread = 8192;
+
   /// `capacity_per_thread` is rounded up to a power of two (cheap masking
   /// on the hot path); >= 64.
-  explicit FlightRecorder(usize capacity_per_thread = 4096);
+  explicit FlightRecorder(
+      usize capacity_per_thread = kDefaultCapacityPerThread);
 
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
@@ -152,7 +179,14 @@ class FlightRecorder {
 
 /// Serialize events as a JSON array (one compact object per event) — the
 /// format the post-mortem bundle embeds and triplec_postmortem reads.
+/// Numbers are written in their shortest exact form, so
+/// flight_events_from_json recovers every event bit for bit.
 [[nodiscard]] std::string flight_events_json(
     std::span<const FlightEvent> events);
+
+/// Parse an array written by flight_events_json; objects whose type name
+/// is unknown are skipped.
+[[nodiscard]] std::vector<FlightEvent> flight_events_from_json(
+    const common::JsonValue& array);
 
 }  // namespace tc::obs

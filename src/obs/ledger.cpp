@@ -15,9 +15,6 @@ namespace tc::obs {
 
 namespace {
 
-/// Measurements below this magnitude have no defined percentage error.
-constexpr f64 kMinMeasured = 1e-9;
-
 std::string fmt_f64(f64 v) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%.9g", v);
@@ -43,9 +40,8 @@ std::optional<LedgerResource> ledger_resource_from(std::string_view name) {
 
 std::optional<f64> LedgerRow::error_pct(LedgerResource r) const {
   if (!has_pred(r) || !has_meas(r)) return std::nullopt;
-  const f64 m = meas[static_cast<usize>(r)];
-  if (std::abs(m) < kMinMeasured) return std::nullopt;
-  return 100.0 * (pred[static_cast<usize>(r)] - m) / m;
+  return relative_error_pct(pred[static_cast<usize>(r)],
+                            meas[static_cast<usize>(r)]);
 }
 
 // --- CalibrationWindow ------------------------------------------------------
@@ -208,16 +204,14 @@ void PredictionLedger::observe_row(const LedgerRow& row) {
     }
   }
   // Chrome counter track per node: the predicted and actual CPU series
-  // overlaid on one lane, sampled at settle time on the host timeline.
+  // overlaid on one track, sampled at settle time on the host timeline.
   if (config_.trace_counters && enabled() &&
       row.has_pred(LedgerResource::CpuMs) &&
       row.has_meas(LedgerResource::CpuMs)) {
-    SpanTracer& tracer = global().tracer;
-    tracer.counter(
-        "ledger " + node_name(row.node) + " cpu_ms", "ledger", kHostPid, 0,
-        tracer.host_now_us(),
-        {{"predicted", row.pred[static_cast<usize>(LedgerResource::CpuMs)]},
-         {"actual", row.meas[static_cast<usize>(LedgerResource::CpuMs)]}});
+    global().flight.record(
+        FrEventType::LedgerCpu, row.frame, row.node,
+        row.pred[static_cast<usize>(LedgerResource::CpuMs)],
+        row.meas[static_cast<usize>(LedgerResource::CpuMs)]);
   }
 }
 

@@ -101,8 +101,8 @@ struct LedgerRow {
   [[nodiscard]] bool has_meas(LedgerResource r) const {
     return (meas_mask & ledger_bit(r)) != 0;
   }
-  /// Signed percentage error 100*(pred-meas)/meas; nullopt when either side
-  /// is missing or the measurement is ~0 (error undefined).
+  /// Signed percentage error (tc::relative_error_pct of pred vs. meas);
+  /// nullopt when either side is missing or the measurement is ~0.
   [[nodiscard]] std::optional<f64> error_pct(LedgerResource r) const;
 };
 
@@ -152,8 +152,9 @@ struct LedgerConfig {
   usize max_open_frames = 16;
   /// Mirror stream aggregates into the MetricsRegistry passed at build.
   bool export_metrics = true;
-  /// Emit per-node predicted/actual Chrome counter tracks through the
-  /// global span tracer (only when obs::enabled()).
+  /// Record per-node predicted/actual CPU samples (ledger_cpu flight
+  /// events, the Chrome counter tracks) in the global flight recorder
+  /// (only when obs::enabled()).
   bool trace_counters = true;
   /// Serving-stream id stamped on every row (serve::StreamServer gives each
   /// stream its own ledger); -1 = untagged single-stream operation.

@@ -227,16 +227,11 @@ void MetricsRegistry::reset_values() {
   }
 }
 
-void FrameLog::evict_excess() {
-  if (capacity_ == 0) return;
-  while (samples_.size() > capacity_) samples_.pop_front();
-}
-
 void FrameLog::add(FrameSample s) {
   common::MutexLock lock(mutex_);
   samples_.push_back(s);
   ++total_added_;
-  evict_excess();
+  if (samples_.size() > kCapacity) samples_.pop_front();
 }
 
 std::vector<FrameSample> FrameLog::samples() const {
@@ -252,17 +247,6 @@ usize FrameLog::size() const {
 u64 FrameLog::total_added() const {
   common::MutexLock lock(mutex_);
   return total_added_;
-}
-
-usize FrameLog::capacity() const {
-  common::MutexLock lock(mutex_);
-  return capacity_;
-}
-
-void FrameLog::set_capacity(usize capacity) {
-  common::MutexLock lock(mutex_);
-  capacity_ = capacity;
-  evict_excess();
 }
 
 void FrameLog::clear() {

@@ -187,10 +187,10 @@ struct FrameSample {
 
 class FrameLog {
  public:
-  /// `capacity` = 0 keeps every sample (unbounded); > 0 bounds the log to
-  /// the most recent `capacity` samples (ring semantics — long-running
-  /// processes keep a sliding window instead of growing forever).
-  explicit FrameLog(usize capacity = 0) : capacity_(capacity) {}
+  /// Samples kept: the most recent kCapacity (ring semantics), well above
+  /// any shipped run, so a long-running process keeps a sliding window
+  /// instead of growing forever.
+  static constexpr usize kCapacity = 4096;
 
   void add(FrameSample s) TC_EXCLUDES(mutex_);
   /// Samples in arrival order (oldest surviving sample first).
@@ -198,17 +198,11 @@ class FrameLog {
   [[nodiscard]] usize size() const TC_EXCLUDES(mutex_);
   /// Samples ever added, including those the capacity bound evicted.
   [[nodiscard]] u64 total_added() const TC_EXCLUDES(mutex_);
-  [[nodiscard]] usize capacity() const TC_EXCLUDES(mutex_);
-  /// Change the bound (0 = unbounded); excess oldest samples are evicted.
-  void set_capacity(usize capacity) TC_EXCLUDES(mutex_);
   void clear() TC_EXCLUDES(mutex_);
 
  private:
-  void evict_excess() TC_REQUIRES(mutex_);
-
   mutable common::Mutex mutex_;
   std::deque<FrameSample> samples_ TC_GUARDED_BY(mutex_);
-  usize capacity_ TC_GUARDED_BY(mutex_) = 0;
   u64 total_added_ TC_GUARDED_BY(mutex_) = 0;
 };
 

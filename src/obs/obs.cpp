@@ -1,5 +1,7 @@
 #include "obs/obs.hpp"
 
+#include <vector>
+
 namespace tc::obs {
 
 namespace detail {
@@ -20,7 +22,6 @@ std::string ObsContext::node_name(i32 node) const {
 }
 
 void ObsContext::clear() {
-  tracer.clear();
   metrics.reset_values();
   frames.clear();
   flight.clear();
@@ -35,9 +36,14 @@ void set_enabled(bool on) {
   detail::g_enabled.store(on, std::memory_order_relaxed);
 }
 
-ScopedSpan host_span(std::string name, std::string category) {
-  return ScopedSpan(enabled() ? &global().tracer : nullptr, std::move(name),
-                    std::move(category));
+std::string chrome_trace_json(const ObsContext& ctx, f64 from_us,
+                              f64 to_us) {
+  std::vector<FlightEvent> events = ctx.flight.snapshot();
+  std::erase_if(events, [&](const FlightEvent& e) {
+    return e.ts_us < from_us || e.ts_us > to_us;
+  });
+  return chrome_trace_json(events,
+                           [&ctx](i32 node) { return ctx.node_name(node); });
 }
 
 }  // namespace tc::obs

@@ -7,23 +7,30 @@
 // predictable branch per hook.  Compiling with -DTC_OBS_ENABLED=0 (CMake
 // option TRIPLEC_OBS=OFF) removes even that.
 //
+// Every event — frame lifecycles, spans, instants, counter samples — goes
+// to one store, the flight recorder's per-thread rings (8192 events per
+// recording thread; a wrap overwrites that thread's oldest events).  A span
+// is one event recorded when it closes.  The runtime manager's simulated
+// timeline travels in the event payload, the host time in the timestamp.
+//
 // Typical use (see examples/observe_run.cpp):
 //   obs::set_enabled(true);
 //   ... run the pipeline ...
-//   obs::write_text_file("trace.json", obs::global().tracer.to_chrome_json());
+//   obs::write_text_file("trace.json", obs::chrome_trace_json(obs::global()));
 //   obs::write_text_file("metrics.prom", obs::to_prometheus(obs::global().metrics));
 #pragma once
 
 #include <atomic>
 #include <functional>
+#include <limits>
 #include <string>
 
 #include "common/sync.hpp"
+#include "obs/chrome_trace.hpp"
 #include "obs/exporters.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/scoped_timer.hpp"
-#include "obs/span_tracer.hpp"
 
 #ifndef TC_OBS_ENABLED
 #define TC_OBS_ENABLED 1
@@ -31,11 +38,10 @@
 
 namespace tc::obs {
 
-/// All observability state of the process: the span tracer, the metrics
-/// registry, the per-frame log and the flight recorder.
+/// All observability state of the process: the metrics registry, the
+/// per-frame log and the flight recorder (the one event store).
 class ObsContext {
  public:
-  SpanTracer tracer;
   MetricsRegistry metrics;
   FrameLog frames;
   FlightRecorder flight;
@@ -48,8 +54,8 @@ class ObsContext {
   [[nodiscard]] std::string node_name(i32 node) const
       TC_EXCLUDES(namer_mutex_);
 
-  /// Drop all recorded spans/frames and zero every metric value (instrument
-  /// registrations survive, so cached references stay valid).
+  /// Drop all recorded events/frames and zero every metric value
+  /// (instrument registrations survive, so cached references stay valid).
   void clear();
 
  private:
@@ -75,8 +81,11 @@ void set_enabled(bool on);
 #endif
 }
 
-/// Convenience: RAII wall-clock span on the global tracer's host timeline;
-/// a no-op span when observability is disabled.
-[[nodiscard]] ScopedSpan host_span(std::string name, std::string category);
+/// Chrome trace of the context's live flight events stamped within
+/// [from_us, to_us] on the recorder's clock (every live event by default),
+/// with node names from ctx.node_name.
+[[nodiscard]] std::string chrome_trace_json(
+    const ObsContext& ctx, f64 from_us = 0.0,
+    f64 to_us = std::numeric_limits<f64>::infinity());
 
 }  // namespace tc::obs

@@ -1,4 +1,4 @@
-// Wall-clock timing helper (steady_clock).  Benches, the span tracer and
+// Wall-clock timing helper (steady_clock).  Benches, the flight recorder and
 // the thread pool all measure host time through this one type instead of
 // hand-rolling std::chrono arithmetic.
 #pragma once

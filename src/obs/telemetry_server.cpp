@@ -343,14 +343,15 @@ HttpResponse TelemetryServer::handle(std::string_view method,
   if (path == "/trace") {
     const i64 ms = std::clamp<i64>(query_i64(query, "ms", 100), 0,
                                    config_.max_trace_ms);
-    // Arm a capture window: remember where the tracer is now, sleep the
-    // window out on this handler thread, export only the new events.
-    const usize mark = obs_->tracer.size();
+    // A capture window over the rings: stamp its start, sleep the window
+    // out on this handler thread, export the events stamped inside it.
+    const f64 from_us = obs_->flight.now_us();
     if (ms > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(ms));
     }
-    return HttpResponse{200, "application/json",
-                        obs_->tracer.to_chrome_json(mark)};
+    return HttpResponse{
+        200, "application/json",
+        chrome_trace_json(*obs_, from_us, obs_->flight.now_us())};
   }
   return HttpResponse{404, "text/plain; charset=utf-8", "not found\n"};
 }

@@ -17,8 +17,8 @@
 //   GET /ledger      recent ledger rows + worst-calibrated nodes
 //                    (?recent=N&worst=K);
 //   GET /flight      latest flight-recorder events as JSON (?n=N);
-//   GET /trace       arm the span tracer for an N-ms window (?ms=N) and
-//                    return the captured Chrome-trace JSON.
+//   GET /trace       a Chrome trace of the flight events stamped within
+//                    the next N ms (?ms=N): a time window over the rings.
 //
 // Threading: one accept thread feeds a small handler pool through a
 // bounded fd queue; each handler reads one request (bounded size, receive
@@ -27,8 +27,7 @@
 // listener, drains the queue and joins every thread; the destructor calls
 // it.  Handlers touch subsystem state only through StatusAggregator
 // snapshots and the thread-safe obs primitives (MetricsRegistry,
-// FlightRecorder::snapshot, SpanTracer) — never a scheduler or executor
-// lock.
+// FlightRecorder::snapshot) — never a scheduler or executor lock.
 #pragma once
 
 #include <string>

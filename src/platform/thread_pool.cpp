@@ -29,28 +29,18 @@ bool pin_to_core([[maybe_unused]] std::thread& thread,
 #endif
 }
 
-/// Run one queued job, recording a host-timeline span and the pool metrics
-/// when observability is on.
+/// Run one queued job, recording a pool_job span and the pool metrics when
+/// observability is on.
 void run_job_observed(const std::function<void()>& job) {
   if (!obs::enabled()) {
     job();
     return;
   }
   obs::ObsContext& ctx = obs::global();
-  const u32 tid = ctx.tracer.host_tid();
-  ctx.tracer.set_thread_name(obs::kHostPid, tid,
-                             "pool worker " + std::to_string(tid));
-  const f64 t0_us = ctx.tracer.host_now_us();
+  const obs::ScopedTimer timer;
   job();
-  const f64 dur_us = ctx.tracer.host_now_us() - t0_us;
-  obs::SpanEvent e;
-  e.name = "pool_job";
-  e.category = "pool";
-  e.pid = obs::kHostPid;
-  e.tid = tid;
-  e.ts_us = t0_us;
-  e.dur_us = dur_us;
-  ctx.tracer.record(std::move(e));
+  const f64 wall_ms = timer.elapsed_ms();
+  ctx.flight.record(obs::FrEventType::PoolJob, -1, -1, wall_ms);
   ctx.metrics
       .counter("tripleC_pool_jobs_total", "Jobs executed by the thread pool")
       .add();
@@ -58,7 +48,7 @@ void run_job_observed(const std::function<void()>& job) {
       .histogram("tripleC_pool_job_wall_ms",
                  "Host wall-clock time per thread-pool job",
                  obs::latency_buckets_ms())
-      .record(dur_us / 1000.0);
+      .record(wall_ms);
 }
 
 }  // namespace

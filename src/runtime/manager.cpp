@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/stats.hpp"
 #include "obs/obs.hpp"
@@ -87,21 +88,13 @@ ManagedFrame RuntimeManager::step(i32 t) {
   ManagedFrame result;
   const bool managed = budget_set_;
 
-  if (!budget_set_) {
+  if (!managed) {
     // Initialization phase: run serially and collect the average case.
     app_.set_stripe_plan(app::serial_plan());
     result.plan = app::serial_plan();
     std::vector<NodeForecast> fc = forecast();
     result.predicted_latency_ms =
         estimate_latency(app_.config().cost, fc, result.plan);
-    result.record = app_.process_frame(t);
-    result.measured_latency_ms = result.record.latency_ms;
-    result.output_latency_ms = result.record.latency_ms;
-    warmup_latencies_.push_back(result.record.latency_ms);
-    if (narrow<i32>(warmup_latencies_.size()) >= config_.warmup_frames) {
-      budget_ms_ = mean(warmup_latencies_) * config_.budget_headroom;
-      budget_set_ = true;
-    }
   } else {
     std::vector<NodeForecast> fc = forecast(/*assume_reg_success=*/true);
     PlanChoice choice =
@@ -135,10 +128,25 @@ ManagedFrame RuntimeManager::step(i32 t) {
     result.predicted_latency_ms =
         estimate_latency(app_.config().cost, likely_fc, choice.plan);
     result.fits_budget = choice.fits_budget;
-    result.record = app_.process_frame(t);
-    result.measured_latency_ms = result.record.latency_ms;
+  }
+  const bool repartitioned = managed && result.plan != prev_plan_;
+  const bool qos_changed = result.quality_level != prev_quality_;
+  if (obs::enabled()) {
+    record_frame_start(t, result, managed, repartitioned, qos_changed);
+  }
+
+  result.record = app_.process_frame(t);
+  result.measured_latency_ms = result.record.latency_ms;
+  if (managed) {
     // Output delay line: early frames wait for the budget instant.
     result.output_latency_ms = std::max(result.measured_latency_ms, budget_ms_);
+  } else {
+    result.output_latency_ms = result.measured_latency_ms;
+    warmup_latencies_.push_back(result.measured_latency_ms);
+    if (narrow<i32>(warmup_latencies_.size()) >= config_.warmup_frames) {
+      budget_ms_ = mean(warmup_latencies_) * config_.budget_headroom;
+      budget_set_ = true;
+    }
   }
 
   if (config_.online_observation) {
@@ -164,44 +172,38 @@ ManagedFrame RuntimeManager::step(i32 t) {
     predictor_.observe(normalized);
   }
 
-  const bool repartitioned = managed && result.plan != prev_plan_;
-  const bool qos_changed = result.quality_level != prev_quality_;
   if (obs::enabled()) {
-    obs::FlightRecorder& flight = obs::global().flight;
-    flight.record(obs::FrEventType::FrameStart, t, -1,
-                  result.predicted_latency_ms);
-    if (managed) {
-      i32 total_stripes = 0;
-      for (i32 s : result.plan) total_stripes += s;
-      flight.record(obs::FrEventType::PlanChoice, t, -1,
-                    static_cast<f64>(total_stripes),
-                    result.predicted_latency_ms);
-    }
-    if (qos_changed) {
-      flight.record(obs::FrEventType::QosTransition, t, -1,
-                    static_cast<f64>(result.quality_level),
-                    static_cast<f64>(prev_quality_));
-    }
-    if (scenario_seen_ && result.record.scenario != prev_scenario_) {
-      flight.record(obs::FrEventType::ScenarioSwitch, t, -1,
-                    static_cast<f64>(result.record.scenario),
-                    static_cast<f64>(prev_scenario_));
-    }
-    flight.record(obs::FrEventType::FrameEnd, t, -1,
-                  result.measured_latency_ms, budget_ms_);
-    if (managed && result.measured_latency_ms > budget_ms_) {
-      flight.record(obs::FrEventType::DeadlineMiss, t, -1,
-                    result.measured_latency_ms, budget_ms_);
-    }
+    record_frame_observability(result, managed, repartitioned, qos_changed);
   }
   prev_plan_ = result.plan;
   prev_quality_ = result.quality_level;
   prev_scenario_ = result.record.scenario;
   scenario_seen_ = true;
-  if (obs::enabled()) {
-    record_frame_observability(result, managed, repartitioned, qos_changed);
-  }
   return result;
+}
+
+void RuntimeManager::record_frame_start(i32 t, const ManagedFrame& f,
+                                        bool managed, bool repartitioned,
+                                        bool qos_changed) {
+  obs::FlightRecorder& flight = obs::global().flight;
+  // The simulated timeline rides in the payload: b = the frame's start on
+  // the simulated clock.
+  flight.record(obs::FrEventType::FrameStart, t, -1, f.predicted_latency_ms,
+                sim_clock_ms_);
+  const f64 stripes = std::accumulate(f.plan.begin(), f.plan.end(), 0.0);
+  if (managed) {
+    flight.record(obs::FrEventType::PlanChoice, t, -1, stripes,
+                  f.predicted_latency_ms);
+  }
+  if (qos_changed) {
+    flight.record(obs::FrEventType::QosTransition, t, -1,
+                  static_cast<f64>(f.quality_level),
+                  static_cast<f64>(prev_quality_));
+  }
+  if (repartitioned) {
+    flight.record(obs::FrEventType::Repartition, t, -1, stripes,
+                  std::accumulate(prev_plan_.begin(), prev_plan_.end(), 0.0));
+  }
 }
 
 void RuntimeManager::record_frame_observability(const ManagedFrame& f,
@@ -210,6 +212,34 @@ void RuntimeManager::record_frame_observability(const ManagedFrame& f,
                                                 bool qos_changed) {
   obs::ObsContext& ctx = obs::global();
   obs::MetricsRegistry& m = ctx.metrics;
+  const i32 t = f.record.frame;
+
+  // --- flight events: the frame's end, then its simulated tasks -----------
+  obs::FlightRecorder& flight = ctx.flight;
+  if (scenario_seen_ && f.record.scenario != prev_scenario_) {
+    flight.record(obs::FrEventType::ScenarioSwitch, t, -1,
+                  static_cast<f64>(f.record.scenario),
+                  static_cast<f64>(prev_scenario_));
+  }
+  const f64 budget_ms = managed ? budget_ms_ : 0.0;
+  flight.record(obs::FrEventType::FrameEnd, t, -1, f.measured_latency_ms,
+                budget_ms);
+  if (managed && f.measured_latency_ms > budget_ms_) {
+    flight.record(obs::FrEventType::DeadlineMiss, t, -1,
+                  f.measured_latency_ms, budget_ms_);
+  }
+  // Executed tasks run back to back from the frame's simulated start; a
+  // data-parallel task striped s-ways occupies s simulated CPU lanes.
+  i32 total_stripes = 0;
+  for (const graph::TaskExecution& exec : f.record.tasks) {
+    if (!exec.executed) continue;
+    const i32 stripes = app::node_data_parallel(exec.node)
+                            ? f.plan[static_cast<usize>(exec.node)]
+                            : 1;
+    total_stripes += stripes;
+    flight.record(obs::FrEventType::SimTask, t, exec.node, exec.simulated_ms,
+                  static_cast<f64>(stripes));
+  }
 
   // --- metrics ------------------------------------------------------------
   m.counter("tripleC_frames_total", "Frames processed by the runtime manager")
@@ -252,19 +282,12 @@ void RuntimeManager::record_frame_observability(const ManagedFrame& f,
       m.histogram("tripleC_frame_prediction_error_pct",
                   "Per-frame |predicted - measured| / measured in percent",
                   obs::error_pct_buckets());
-  if (std::fabs(f.measured_latency_ms) > 1e-9) {
-    error_pct = std::fabs(f.predicted_latency_ms - f.measured_latency_ms) /
-                std::fabs(f.measured_latency_ms) * 100.0;
+  if (const std::optional<f64> err =
+          relative_error_pct(f.predicted_latency_ms, f.measured_latency_ms)) {
+    error_pct = std::fabs(*err);
     error_hist.record(error_pct);
   }
 
-  i32 total_stripes = 0;
-  for (const graph::TaskExecution& exec : f.record.tasks) {
-    if (!exec.executed) continue;
-    total_stripes += app::node_data_parallel(exec.node)
-                         ? f.plan[static_cast<usize>(exec.node)]
-                         : 1;
-  }
   m.histogram("tripleC_frame_stripes",
               "Total execution lanes (stripes) of the frame's plan",
               obs::small_count_buckets())
@@ -276,81 +299,6 @@ void RuntimeManager::record_frame_observability(const ManagedFrame& f,
                                   f.output_latency_ms, budget_ms_,
                                   f.fits_budget, error_pct});
 
-  // --- spans on the simulated timeline ------------------------------------
-  obs::SpanTracer& tracer = ctx.tracer;
-  tracer.set_thread_name(obs::kSimPid, 0, "frames / tasks");
-  const f64 frame_start_us = sim_clock_ms_ * 1000.0;
-  obs::SpanEvent frame_span;
-  frame_span.name = "frame " + std::to_string(f.record.frame);
-  frame_span.category = "frame";
-  frame_span.pid = obs::kSimPid;
-  frame_span.tid = 0;
-  frame_span.ts_us = frame_start_us;
-  frame_span.dur_us = f.output_latency_ms * 1000.0;
-  frame_span.args = {
-      {"scenario", std::to_string(f.record.scenario)},
-      {"plan", plan_to_string(f.plan)},
-      {"predicted_ms", std::to_string(f.predicted_latency_ms)},
-      {"measured_ms", std::to_string(f.measured_latency_ms)},
-      {"quality_level", std::to_string(f.quality_level)},
-  };
-  tracer.record(std::move(frame_span));
-
-  f64 cursor_us = frame_start_us;
-  for (const graph::TaskExecution& exec : f.record.tasks) {
-    if (!exec.executed) continue;
-    const f64 dur_us = exec.simulated_ms * 1000.0;
-    obs::SpanEvent task_span;
-    task_span.name = std::string(ctx.node_name(exec.node));
-    task_span.category = "task";
-    task_span.pid = obs::kSimPid;
-    task_span.tid = 0;
-    task_span.ts_us = cursor_us;
-    task_span.dur_us = dur_us;
-    task_span.args = {{"simulated_ms", std::to_string(exec.simulated_ms)}};
-    tracer.record(std::move(task_span));
-    // Stripe lanes: a data-parallel task striped s-ways occupies s simulated
-    // CPU lanes for the task's (already striped) duration.
-    const i32 stripes = app::node_data_parallel(exec.node)
-                            ? f.plan[static_cast<usize>(exec.node)]
-                            : 1;
-    if (stripes > 1) {
-      for (i32 s = 0; s < stripes; ++s) {
-        const u32 lane = narrow<u32>(s) + 1;
-        tracer.set_thread_name(obs::kSimPid, lane,
-                               "stripe lane " + std::to_string(lane));
-        obs::SpanEvent stripe_span;
-        stripe_span.name =
-            std::string(ctx.node_name(exec.node)) + " stripe " +
-            std::to_string(s);
-        stripe_span.category = "stripe";
-        stripe_span.pid = obs::kSimPid;
-        stripe_span.tid = lane;
-        stripe_span.ts_us = cursor_us;
-        stripe_span.dur_us = dur_us;
-        tracer.record(std::move(stripe_span));
-      }
-    }
-    cursor_us += dur_us;
-  }
-  if (f.output_latency_ms > f.measured_latency_ms + 1e-12) {
-    obs::SpanEvent hold;
-    hold.name = "delay_line_hold";
-    hold.category = "delay-line";
-    hold.pid = obs::kSimPid;
-    hold.tid = 0;
-    hold.ts_us = frame_start_us + f.measured_latency_ms * 1000.0;
-    hold.dur_us = (f.output_latency_ms - f.measured_latency_ms) * 1000.0;
-    tracer.record(std::move(hold));
-  }
-  if (repartitioned) {
-    tracer.instant("repartition", "plan", obs::kSimPid, 0, frame_start_us,
-                   {{"plan", plan_to_string(f.plan)}});
-  }
-  if (qos_changed) {
-    tracer.instant("qos_level_change", "qos", obs::kSimPid, 0, frame_start_us,
-                   {{"level", std::to_string(f.quality_level)}});
-  }
   sim_clock_ms_ += f.output_latency_ms;
 }
 

@@ -104,9 +104,13 @@ class RuntimeManager {
       bool assume_reg_success = true) const;
 
  private:
-  /// Observability hook: emit the frame's spans onto the simulated timeline
-  /// and update the metrics registry / per-frame log.  Called only when
-  /// obs::enabled(); `managed` is false for warm-up (serial) frames.
+  /// Observability hooks, called only when obs::enabled(); `managed` is
+  /// false for warm-up (serial) frames.  Before the frame runs: its
+  /// frame_start (carrying the simulated start), plan and QoS changes.
+  void record_frame_start(i32 t, const ManagedFrame& f, bool managed,
+                          bool repartitioned, bool qos_changed);
+  /// After it ran: frame_end, one sim_task per executed task, the metrics
+  /// registry and the per-frame log.
   void record_frame_observability(const ManagedFrame& f, bool managed,
                                   bool repartitioned, bool qos_changed);
 
@@ -120,7 +124,7 @@ class RuntimeManager {
   std::vector<f64> warmup_latencies_;
   /// Quality level currently applied to the app (QoS).
   QualityLevel applied_quality_;
-  /// Simulated-timeline cursor for span tracing: frames are laid out
+  /// Simulated-timeline cursor (frame_start payload): frames are laid out
   /// back-to-back at their output (delay-line) latency.
   f64 sim_clock_ms_ = 0.0;
   app::StripePlan prev_plan_ = app::serial_plan();

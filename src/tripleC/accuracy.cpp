@@ -5,6 +5,7 @@
 #include <iomanip>
 #include <sstream>
 
+#include "common/stats.hpp"
 #include "obs/obs.hpp"
 
 namespace tc::model {
@@ -18,9 +19,10 @@ AccuracyReport evaluate_accuracy(std::span<const f64> predicted,
   usize over20 = 0;
   usize over30 = 0;
   for (usize i = 0; i < n; ++i) {
-    if (std::fabs(measured[i]) < 1e-9) continue;
-    f64 err_pct = std::fabs(predicted[i] - measured[i]) /
-                  std::fabs(measured[i]) * 100.0;
+    const std::optional<f64> err =
+        relative_error_pct(predicted[i], measured[i]);
+    if (!err.has_value()) continue;
+    const f64 err_pct = std::fabs(*err);
     err_sum += err_pct;
     acc_sum += std::max(0.0, 100.0 - err_pct);
     r.max_error_pct = std::max(r.max_error_pct, err_pct);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/stats.hpp"
 #include "obs/obs.hpp"
 
 namespace tc::model {
@@ -158,16 +159,14 @@ void GraphPredictor::observe(const graph::FrameRecord& record) {
       obs::global().flight.record(obs::FrEventType::NodeTiming, record.frame,
                                   exec.node, parts.combined_ms(),
                                   exec.simulated_ms);
-      if (std::fabs(exec.simulated_ms) > 1e-9) {
-        const f64 err_pct =
-            std::fabs(parts.combined_ms() - exec.simulated_ms) /
-            std::fabs(exec.simulated_ms) * 100.0;
+      if (const std::optional<f64> err =
+              relative_error_pct(parts.combined_ms(), exec.simulated_ms)) {
         m.histogram(
              "tripleC_task_prediction_error_pct",
              "Per-task |predicted - measured| / measured in percent",
              obs::error_pct_buckets(),
              obs::label("task", obs::global().node_name(exec.node)))
-            .record(err_pct);
+            .record(std::fabs(*err));
       }
     }
     task_predictor(exec.node, ctx).observe(exec.simulated_ms,

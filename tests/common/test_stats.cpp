@@ -106,6 +106,28 @@ TEST(Stats, PercentileInterpolates) {
   EXPECT_DOUBLE_EQ(percentile(xs, 25), 2.5);
 }
 
+TEST(Stats, RelativeErrorPctIsSignedAndSkipsZeroMeasurements) {
+  EXPECT_DOUBLE_EQ(*relative_error_pct(12.0, 10.0), 20.0);
+  EXPECT_DOUBLE_EQ(*relative_error_pct(8.0, 10.0), -20.0);
+  // Normalised by |measured|: the sign follows predicted - measured.
+  EXPECT_DOUBLE_EQ(*relative_error_pct(-8.0, -10.0), 20.0);
+  EXPECT_FALSE(relative_error_pct(5.0, 0.0).has_value());
+  EXPECT_FALSE(relative_error_pct(5.0, 9e-10).has_value());
+  EXPECT_TRUE(relative_error_pct(5.0, 1e-9).has_value());
+}
+
+TEST(Stats, RelativeErrorPctMagnitudeMatchesAbsoluteFormulaBitForBit) {
+  Pcg32 rng(11);
+  for (i32 i = 0; i < 100000; ++i) {
+    const f64 p = rng.uniform(-1e3, 1e3);
+    const f64 m = rng.uniform(-1e3, 1e3);
+    const std::optional<f64> err = relative_error_pct(p, m);
+    ASSERT_TRUE(err.has_value());
+    const f64 absolute = std::fabs(p - m) / std::fabs(m) * 100.0;
+    ASSERT_EQ(std::fabs(*err), absolute) << p << " vs " << m;
+  }
+}
+
 TEST(Stats, FitLineRecoversCoefficients) {
   std::vector<f64> xs;
   std::vector<f64> ys;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -231,6 +232,34 @@ TEST(Executor, FlightRecorderCapturesFrameLifecycleWhenEnabled) {
   obs::global().clear();
 }
 
+TEST(Executor, ObsOnRunLongerThanTheRingsStaysBounded) {
+  obs::global().clear();
+  obs::set_enabled(true);
+  if (!obs::enabled()) GTEST_SKIP() << "observability compiled out";
+  ExecutorConfig exec_config;
+  exec_config.worker_threads = 2;
+  exec_config.ledger.enabled = true;
+  constexpr i32 kMaxFrames = 3000;
+  Executor executor(small_config(kMaxFrames), exec_config);
+  const obs::FlightRecorder& flight = obs::global().flight;
+  // Step until a ring has overwritten its oldest events, then some more.
+  i32 t = 0;
+  while (t < kMaxFrames && flight.total_recorded() == flight.size()) {
+    (void)executor.step(t++);
+  }
+  for (const i32 end = std::min(t + 50, kMaxFrames); t < end; ++t) {
+    (void)executor.step(t);
+  }
+  obs::set_enabled(false);
+
+  EXPECT_LT(t, kMaxFrames);
+  EXPECT_GT(flight.total_recorded(), flight.size());
+  EXPECT_GE(flight.size(), flight.capacity_per_thread());
+  EXPECT_LE(flight.size(),
+            flight.thread_count() * flight.capacity_per_thread());
+  obs::global().clear();
+}
+
 // End-to-end diagnostics: a load spike the predictors never trained on
 // makes frames miss the deadline; the drift monitor alarms, a re-train is
 // forced, and a post-mortem bundle lands on disk and parses.
@@ -421,8 +450,8 @@ TEST(ExecutorLedger, BusAttributionCoversCacheAndIoClasses) {
   // With obs on, every settled row with both CPU sides adds a sample to the
   // node's predicted/actual Chrome counter track.
   bool saw_counter = false;
-  for (const obs::SpanEvent& e : obs::global().tracer.events()) {
-    saw_counter |= e.phase == 'C';
+  for (const obs::FlightEvent& e : obs::global().flight.snapshot()) {
+    saw_counter |= e.type == obs::FrEventType::LedgerCpu;
   }
   EXPECT_TRUE(saw_counter);
   obs::global().clear();

@@ -173,6 +173,54 @@ TEST(FlightRecorder, EventsJsonRoundTripsThroughParser) {
   EXPECT_EQ(static_cast<i32>(v.at(1).number_or("node", -2)), 2);
 }
 
+TEST(FlightRecorder, EventsJsonRoundTripsBitForBit) {
+  FlightRecorder rec(64);
+  rec.record(FrEventType::TaskSpan, 3, 2, 1.0 / 3.0, 2.0 / 7.0);
+  rec.record(FrEventType::SimTask, 4, 5, 1e-7, 123456.789012345);
+  rec.record(FrEventType::LedgerCpu, -1, -1, -0.1, 5e300);
+  const std::vector<FlightEvent> events = rec.snapshot();
+
+  const std::vector<FlightEvent> parsed = flight_events_from_json(
+      common::JsonValue::parse(flight_events_json(events)));
+  ASSERT_EQ(parsed.size(), events.size());
+  for (usize i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(parsed[i].ts_us, events[i].ts_us);
+    EXPECT_EQ(parsed[i].type, events[i].type);
+    EXPECT_EQ(parsed[i].tid, events[i].tid);
+    EXPECT_EQ(parsed[i].frame, events[i].frame);
+    EXPECT_EQ(parsed[i].node, events[i].node);
+    EXPECT_EQ(parsed[i].a, events[i].a);
+    EXPECT_EQ(parsed[i].b, events[i].b);
+  }
+}
+
+TEST(FlightRecorder, EventsFromJsonReadMalformedFieldsAsFallbacks) {
+  const std::vector<FlightEvent> events =
+      flight_events_from_json(common::JsonValue::parse(
+          R"([{"type": "task_span", "tid": -3, "frame": 1e300,
+               "node": "x", "a": 2.5},
+              {"type": "not_an_event"}])"));
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].type, FrEventType::TaskSpan);
+  EXPECT_EQ(events[0].tid, 0u);
+  EXPECT_EQ(events[0].frame, -1);
+  EXPECT_EQ(events[0].node, -1);
+  EXPECT_EQ(events[0].a, 2.5);
+  EXPECT_TRUE(flight_events_from_json(common::JsonValue::parse("{}")).empty());
+}
+
+TEST(FlightRecorder, ThreadIdsAreStablePerThread) {
+  FlightRecorder rec(64);
+  rec.record(FrEventType::Custom, 0);
+  rec.record(FrEventType::Custom, 1);
+  std::thread other([&rec] { rec.record(FrEventType::Custom, 2); });
+  other.join();
+  const std::vector<FlightEvent> events = rec.snapshot();
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[0].tid, events[1].tid);
+  EXPECT_NE(events[2].tid, events[0].tid);
+}
+
 TEST(FlightRecorder, GlobalContextClearAlsoClearsFlight) {
   obs::global().flight.record(FrEventType::Custom, 1);
   EXPECT_GT(obs::global().flight.size(), 0u);
@@ -182,8 +230,11 @@ TEST(FlightRecorder, GlobalContextClearAlsoClearsFlight) {
 
 TEST(FlightRecorderEnum, EveryTypeHasAName) {
   for (u16 t = 0; t <= static_cast<u16>(FrEventType::Custom); ++t) {
-    EXPECT_STRNE(to_string(static_cast<FrEventType>(t)), "unknown");
+    const auto type = static_cast<FrEventType>(t);
+    EXPECT_STRNE(to_string(type), "unknown");
+    EXPECT_EQ(flight_event_type(to_string(type)), type);
   }
+  EXPECT_FALSE(flight_event_type("no_such_event").has_value());
 }
 
 }  // namespace

@@ -218,39 +218,19 @@ TEST(FrameLog, StoresSamplesInOrder) {
 }
 
 TEST(FrameLog, CapacityBoundsKeepNewestSamples) {
-  FrameLog log(4);
-  for (i32 i = 0; i < 10; ++i) {
+  FrameLog log;
+  const i32 total = static_cast<i32>(FrameLog::kCapacity) + 6;
+  for (i32 i = 0; i < total; ++i) {
     FrameSample s;
     s.frame = i;
     log.add(s);
   }
-  EXPECT_EQ(log.size(), 4u);
-  EXPECT_EQ(log.total_added(), 10u);
-  EXPECT_EQ(log.capacity(), 4u);
+  EXPECT_EQ(log.size(), FrameLog::kCapacity);
+  EXPECT_EQ(log.total_added(), static_cast<u64>(total));
   const std::vector<FrameSample> all = log.samples();
   for (usize i = 0; i < all.size(); ++i) {
     EXPECT_EQ(all[i].frame, 6 + static_cast<i32>(i));
   }
-}
-
-TEST(FrameLog, SetCapacityEvictsAndZeroUnbounds) {
-  FrameLog log;
-  for (i32 i = 0; i < 8; ++i) {
-    FrameSample s;
-    s.frame = i;
-    log.add(s);
-  }
-  log.set_capacity(3);
-  EXPECT_EQ(log.size(), 3u);
-  EXPECT_EQ(log.samples().front().frame, 5);
-  log.set_capacity(0);  // unbounded again: nothing further evicted
-  for (i32 i = 8; i < 16; ++i) {
-    FrameSample s;
-    s.frame = i;
-    log.add(s);
-  }
-  EXPECT_EQ(log.size(), 11u);
-  EXPECT_EQ(log.total_added(), 16u);
 }
 
 }  // namespace

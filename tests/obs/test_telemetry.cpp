@@ -12,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/json.hpp"
@@ -221,7 +223,7 @@ TEST(TelemetryRouting, FlightReturnsTailWithTotal) {
 
 TEST(TelemetryRouting, TraceWindowExcludesEventsBeforeArming) {
   ObsContext ctx;
-  ctx.tracer.instant("before", "test", kHostPid, 0, 1.0);
+  ctx.flight.record(FrEventType::Custom, 1);
   TelemetryServer server(TelemetryConfig{}, nullptr, &ctx);
 
   // ms=0: arm and export immediately — the pre-existing event is outside
@@ -231,8 +233,31 @@ TEST(TelemetryRouting, TraceWindowExcludesEventsBeforeArming) {
   EXPECT_EQ(r.content_type, "application/json");
   const common::JsonValue doc = common::JsonValue::parse(r.body);
   for (const common::JsonValue& e : doc.get("traceEvents").items()) {
-    EXPECT_NE(e.string_or("name", ""), "before");
+    EXPECT_EQ(e.string_or("ph", ""), "M");
   }
+}
+
+TEST(TelemetryRouting, TraceWindowKeepsOnlyEventsStampedInside) {
+  ObsContext ctx;
+  ctx.flight.record(FrEventType::Custom, 1);  // before the window
+  TelemetryServer server(TelemetryConfig{}, nullptr, &ctx);
+
+  // Another thread records while the handler sleeps its window out.
+  std::thread inside([&ctx] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    ctx.flight.record(FrEventType::Custom, 2);
+  });
+  const HttpResponse r = server.handle("GET", "/trace?ms=600");
+  inside.join();
+  ctx.flight.record(FrEventType::Custom, 3);  // after the window
+
+  std::vector<f64> frames;
+  const common::JsonValue doc = common::JsonValue::parse(r.body);
+  for (const common::JsonValue& e : doc.get("traceEvents").items()) {
+    if (e.string_or("ph", "") == "M") continue;
+    frames.push_back(e.get("args").number_or("frame", -1.0));
+  }
+  EXPECT_EQ(frames, std::vector<f64>{2.0});
 }
 
 TEST(TelemetryRouting, UnknownPathIs404NonGetIs405) {

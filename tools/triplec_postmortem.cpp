@@ -7,23 +7,23 @@
 //   triplec_postmortem <bundle.json>              pretty-print the bundle
 //   triplec_postmortem <bundle.json> --events N   also list the last N events
 //   triplec_postmortem <bundle.json> --chrome out.json
-//                                  convert the embedded flight events to a
-//                                  Chrome trace slice (chrome://tracing,
-//                                  Perfetto): one lane per recorder thread,
-//                                  frames as spans, everything else instant.
+//                                  write the embedded flight events as a
+//                                  Chrome trace (chrome://tracing,
+//                                  Perfetto) with the same writer the
+//                                  running process uses (obs/chrome_trace).
 //
 // Exit codes: 0 ok, 1 usage, 2 unreadable/invalid bundle.
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/json.hpp"
 #include "common/types.hpp"
+#include "obs/chrome_trace.hpp"
 
 namespace {
 
@@ -165,84 +165,44 @@ void print_metrics(const JsonValue& root) {
   }
 }
 
-/// Convert the embedded flight events to Chrome trace-event JSON.  Frame
-/// spans ('X') are reconstructed per frame id from frame_start/frame_end
-/// pairs on one lane; every event also lands as an instant ('i') on its
-/// recording thread's lane, so queue/stage interleavings stay visible.
+/// Node display names as the bundle's predictor summary lists them (node id
+/// order); "node<i>" beyond it, like ObsContext::node_name's default.
+tc::obs::NodeNamer bundle_node_namer(const JsonValue& root) {
+  std::vector<std::string> names;
+  const JsonValue* p = root.find("predictors");
+  const JsonValue* nodes = p != nullptr && p->type() == JsonValue::Type::Object
+                               ? p->find("nodes")
+                               : nullptr;
+  if (nodes != nullptr && nodes->is_array()) {
+    for (usize i = 0; i < nodes->size(); ++i) {
+      names.push_back(
+          nodes->at(i).string_or("name", "node" + std::to_string(i)));
+    }
+  }
+  return [names](i32 node) {
+    return node >= 0 && static_cast<usize>(node) < names.size()
+               ? names[static_cast<usize>(node)]
+               : "node" + std::to_string(node);
+  };
+}
+
 int write_chrome_trace(const JsonValue& root, const std::string& out_path) {
   const JsonValue* events = root.find("events");
-  if (events == nullptr || events->type() != JsonValue::Type::Array) {
+  if (events == nullptr || !events->is_array()) {
     std::fprintf(stderr, "triplec_postmortem: bundle has no events array\n");
     return 2;
   }
-  std::string out = "{\"traceEvents\":[";
-  bool first = true;
-  auto emit = [&](const std::string& obj) {
-    if (!first) out += ",";
-    first = false;
-    out += obj;
-  };
-  char buf[512];
-  // Pass 1: frame spans from frame_start/frame_end pairs (lane tid 0).
-  struct OpenFrame {
-    i64 frame;
-    f64 ts_us;
-  };
-  std::vector<OpenFrame> open;
-  for (usize i = 0; i < events->size(); ++i) {
-    const JsonValue& e = events->at(i);
-    const std::string type = event_name(e);
-    const i64 frame = static_cast<i64>(e.number_or("frame", -1));
-    if (type == "frame_start") {
-      open.push_back({frame, e.number_or("ts_us", 0)});
-    } else if (type == "frame_end") {
-      for (usize j = open.size(); j-- > 0;) {
-        if (open[j].frame != frame) continue;
-        std::snprintf(buf, sizeof(buf),
-                      "{\"name\":\"frame %" PRId64
-                      "\",\"cat\":\"frame\",\"ph\":\"X\",\"pid\":1,"
-                      "\"tid\":0,\"ts\":%.3f,\"dur\":%.3f,"
-                      "\"args\":{\"measured_ms\":%.4g,\"deadline_ms\":%.4g}}",
-                      frame, open[j].ts_us,
-                      e.number_or("ts_us", 0) - open[j].ts_us,
-                      e.number_or("a", 0), e.number_or("b", 0));
-        emit(buf);
-        open.erase(open.begin() + static_cast<std::ptrdiff_t>(j));
-        break;
-      }
-    }
-  }
-  // Pass 2: every event as an instant on its recorder thread's lane.
-  for (usize i = 0; i < events->size(); ++i) {
-    const JsonValue& e = events->at(i);
-    std::snprintf(buf, sizeof(buf),
-                  "{\"name\":\"%s\",\"cat\":\"flight\",\"ph\":\"i\","
-                  "\"s\":\"t\",\"pid\":2,\"tid\":%" PRId64
-                  ",\"ts\":%.3f,\"args\":{\"frame\":%" PRId64
-                  ",\"node\":%" PRId64 ",\"a\":%.4g,\"b\":%.4g}}",
-                  event_name(e).c_str(),
-                  static_cast<i64>(e.number_or("tid", 0)),
-                  e.number_or("ts_us", 0),
-                  static_cast<i64>(e.number_or("frame", -1)),
-                  static_cast<i64>(e.number_or("node", -1)),
-                  e.number_or("a", 0), e.number_or("b", 0));
-    emit(buf);
-  }
-  // Process labels for the two lanes.
-  emit("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
-       "\"args\":{\"name\":\"frames\"}}");
-  emit("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,"
-       "\"args\":{\"name\":\"flight recorder\"}}");
-  out += "]}";
+  const std::vector<tc::obs::FlightEvent> parsed =
+      tc::obs::flight_events_from_json(*events);
   std::ofstream f(out_path, std::ios::binary | std::ios::trunc);
+  f << tc::obs::chrome_trace_json(parsed, bundle_node_namer(root));
   if (!f) {
     std::fprintf(stderr, "triplec_postmortem: cannot write %s\n",
                  out_path.c_str());
     return 2;
   }
-  f << out;
-  std::printf("wrote %s (%zu trace events)\n", out_path.c_str(),
-              events->size());
+  std::printf("wrote %s (%zu flight events)\n", out_path.c_str(),
+              parsed.size());
   return 0;
 }
 
