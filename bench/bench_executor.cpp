@@ -340,7 +340,7 @@ std::string to_json(const Options& opt, const std::vector<Row>& app_rows,
   os << "  \"size\": " << opt.size << ",\n";
   os << "  \"workers\": " << opt.workers << ",\n";
   os << "  \"reps\": " << opt.reps << ",\n";
-  os << "  \"host_cores\": " << std::thread::hardware_concurrency() << ",\n";
+  os << "  \"host_cores\": " << bench::affinity_cores() << ",\n";
   rows("stentboost_graph", app_rows);
   os << ",\n";
   rows("kernel_pipeline", pipe_rows);

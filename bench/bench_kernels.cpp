@@ -30,7 +30,7 @@ void BM_GaussianBlur(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * size * size);
 }
-BENCHMARK(BM_GaussianBlur)->Arg(128)->Arg(256)->Arg(512);
+BENCHMARK(BM_GaussianBlur)->Arg(128)->Arg(256)->Arg(512)->Arg(1024);
 
 void BM_RidgeDetect(benchmark::State& state) {
   const i32 size = static_cast<i32>(state.range(0));
@@ -43,6 +43,21 @@ void BM_RidgeDetect(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * size * size);
 }
 BENCHMARK(BM_RidgeDetect)->Arg(128)->Arg(256);
+
+/// Full-frame ridge detection (RDG_FULL) on a rendered frame inside the
+/// contrast bolus: random pixels would make nearly every pixel a sub-stage D
+/// candidate, which real frames do not.
+void BM_RidgeDetectFrame(benchmark::State& state) {
+  const i32 size = static_cast<i32>(state.range(0));
+  const app::StentBoostConfig c = app::StentBoostConfig::make(size, size, 100, 7);
+  const img::ImageF32 im = img::to_f32(img::AngioSequence(c.sequence).render(60));
+  for (auto _ : state) {
+    img::RidgeResult r = img::ridge_detect(im, im.full_rect(), c.ridge);
+    benchmark::DoNotOptimize(r.dominant_pixels);
+  }
+  state.SetItemsProcessed(state.iterations() * size * size);
+}
+BENCHMARK(BM_RidgeDetectFrame)->Arg(1024);
 
 void BM_ExtractMarkers(benchmark::State& state) {
   const i32 size = static_cast<i32>(state.range(0));
@@ -68,18 +83,38 @@ void BM_TranslateBilinear(benchmark::State& state) {
 }
 BENCHMARK(BM_TranslateBilinear)->Arg(256);
 
+/// ZOOM of an ROI of side range(0) to a display of side range(1).
 void BM_Zoom(benchmark::State& state) {
-  img::ImageF32 roi = random_image(128, 5);
+  img::ImageF32 roi = random_image(static_cast<i32>(state.range(0)), 5);
+  const i32 out = static_cast<i32>(state.range(1));
   img::ZoomParams params;
-  params.output_width = 512;
-  params.output_height = 512;
+  params.output_width = out;
+  params.output_height = out;
   for (auto _ : state) {
     img::ZoomResult r = img::zoom(roi, params);
     benchmark::DoNotOptimize(r.output.data());
   }
-  state.SetItemsProcessed(state.iterations() * 512 * 512);
+  state.SetItemsProcessed(state.iterations() * out * out);
 }
-BENCHMARK(BM_Zoom);
+BENCHMARK(BM_Zoom)->Args({128, 512})->Args({400, 1024});
+
+/// ENH's steady state: a rigid warp blended into a same-size accumulator,
+/// which is moved in and out as the application does.
+void BM_Enhance(benchmark::State& state) {
+  const i32 size = static_cast<i32>(state.range(0));
+  const img::ImageF32 frame = random_image(size, 6);
+  img::ImageF32 acc = random_image(size, 7);
+  const Rect roi{size / 4, size / 4, size / 2, size / 2};
+  for (auto _ : state) {
+    img::EnhanceResult r = img::enhance(frame, roi, std::move(acc), 1.5,
+                                        -0.75, img::EnhanceParams{});
+    acc = std::move(r.accumulator);
+    benchmark::DoNotOptimize(acc.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * size * size);
+}
+BENCHMARK(BM_Enhance)->Arg(1024);
 
 void BM_SyntheticRender(benchmark::State& state) {
   const i32 size = static_cast<i32>(state.range(0));

@@ -266,7 +266,7 @@ std::string to_json(const Options& opt, const std::vector<PhaseResult>& sweep,
   os << "  \"frames\": " << opt.frames << ",\n";
   os << "  \"size\": " << opt.size << ",\n";
   os << "  \"workers\": " << opt.workers << ",\n";
-  os << "  \"host_cores\": " << std::thread::hardware_concurrency() << ",\n";
+  os << "  \"host_cores\": " << bench::affinity_cores() << ",\n";
   os << "  \"serve_fleet\": [\n";
   for (usize i = 0; i < sweep.size(); ++i) {
     const PhaseResult& r = sweep[i];

@@ -2,6 +2,8 @@
 // Table 2(b) and small formatting utilities.
 #pragma once
 
+#include <sched.h>
+
 #include <cstdio>
 #include <string>
 
@@ -10,6 +12,15 @@
 #include "tripleC/graph_predictor.hpp"
 
 namespace tc::bench {
+
+/// Cores this process may run on (the sched_getaffinity mask), not the
+/// machine's; 0 when the mask cannot be read.
+[[nodiscard]] inline int affinity_cores() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return 0;
+  return CPU_COUNT(&set);
+}
 
 /// Prints "[wall] <label>: X ms" when the scope ends.  Benches time their
 /// sections through this (obs::ScopedTimer underneath) instead of

@@ -171,7 +171,8 @@ struct FrameContext {
   /// Graph-level execution context (switch cache); `gctx.user == this`.
   graph::ExecContext gctx;
 
-  /// One reusable scratch set per concurrent ridge instance.
+  /// One reusable scratch set per concurrent ridge instance, each sized to
+  /// that instance's band.
   std::vector<img::RidgeScratch> ridge_scratch;
 };
 

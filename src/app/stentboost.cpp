@@ -618,9 +618,20 @@ std::optional<img::WorkReport> StentBoostApp::run_enh(FrameContext& ctx) {
   ctx.back.ref_roi = clamp_rect(
       Rect{rcx - cur_roi.w / 2, rcy - cur_roi.h / 2, cur_roi.w, cur_roi.h},
       frame.width(), frame.height());
-  img::EnhanceResult result =
-      img::enhance(frame, ctx.back.ref_roi, ctx.back.accumulator, *ctx.couple,
-                   *ctx.back.ref_couple, config_.enhance);
+  // The warp-and-blend is row-local: its row bands run as stripe instances,
+  // bit-identical to a serial run.  ENH keeps one WorkReport (priced from
+  // dimensions), so the simulated cost does not depend on the host split.
+  const i32 stripes = ctx.plan[kEnh];
+  img::RowBandRunner bands;
+  if (stripes > 1) {
+    bands = [&](i32 rows, const std::function<void(IndexRange)>& body) {
+      run_instances(ctx, kEnh, rows, stripes,
+                    [&](i32, IndexRange band) { body(band); });
+    };
+  }
+  img::EnhanceResult result = img::enhance(
+      frame, ctx.back.ref_roi, std::move(ctx.back.accumulator), *ctx.couple,
+      *ctx.back.ref_couple, config_.enhance, bands);
   ctx.back.accumulator = std::move(result.accumulator);
   ctx.enhanced_roi = std::move(result.enhanced_roi);
   return result.work;

@@ -67,16 +67,15 @@ class Image {
 
   void fill(T v) { std::fill(pixels_.begin(), pixels_.end(), v); }
 
-  /// Reshape to width × height, reusing the allocation when possible.  When
-  /// the dimensions change the contents are reset to T{}; when they already
-  /// match the (stale) contents are kept — callers that reuse an image as
-  /// scratch must clear whatever region they read before writing it.
+  /// Reshape to width × height, reusing the allocation when possible.  The
+  /// contents are unspecified afterwards (stale pixels are kept, not
+  /// cleared) — callers that reuse an image as scratch must write or clear
+  /// whatever region they read.
   void ensure(i32 width, i32 height) {
     assert(width >= 0 && height >= 0);
-    if (width == width_ && height == height_ && !pixels_.empty()) return;
     width_ = width;
     height_ = height;
-    pixels_.assign(static_cast<usize>(width) * static_cast<usize>(height), T{});
+    pixels_.resize(static_cast<usize>(width) * static_cast<usize>(height));
   }
 
   [[nodiscard]] Rect full_rect() const { return Rect{0, 0, width_, height_}; }

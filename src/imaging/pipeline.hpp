@@ -17,6 +17,7 @@
 // and the union of disjoint stripe calls produce bit-identical results.
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -57,22 +58,24 @@ struct RidgeResult {
                                        const RidgeParams& params);
 
 /// Reusable working buffers for one ridge_detect_rows invocation (one set
-/// per concurrent stripe instance).  Owning them in the caller's frame
-/// context removes the four image allocations each stripe used to make.
+/// per concurrent stripe instance, owned by the caller's frame context).
+/// The six planes cover only the invocation's band — its output rows plus
+/// the filter halo, full frame width — and are indexed band-locally, so an
+/// instance's memory follows its stripe, not the frame.
 struct RidgeScratch {
   ImageF32 smooth;
   ImageF32 resp_local;
   ImageF32 blob_local;
   HessianImages hess;
-  /// Reshape every buffer to the frame size (reuses allocations; stale
-  /// contents are fine — ridge_detect_rows zeroes what it reads).
-  void ensure(i32 width, i32 height);
+  /// Reshape every plane to width x rows (reuses allocations; stale
+  /// contents are fine — ridge_detect_rows writes or zeroes what it reads).
+  void ensure(i32 width, i32 rows);
 };
 
 /// Stripe variant: computes response/blobness rows [rows.lo, rows.hi) ∩ roi
 /// into the provided images (which must be frame-sized).  `scratch` (may be
 /// null) supplies reusable working buffers; results are bit-identical with
-/// and without it.
+/// and without it, and whatever the scratch held before.
 void ridge_detect_rows(const ImageF32& frame, Rect roi,
                        const RidgeParams& params, ImageF32& response,
                        ImageF32& blobness, IndexRange rows, u64& dominant_pixels,
@@ -342,23 +345,32 @@ struct EnhanceResult {
   WorkReport work;
 };
 
+/// Runs `body` over disjoint row bands that together cover [0, rows), in
+/// order on the calling thread or concurrently on a pool.
+using RowBandRunner =
+    std::function<void(i32 rows, const std::function<void(IndexRange)>& body)>;
+
 /// Temporally integrate the current frame into the stent-aligned reference
 /// accumulator and crop the enhanced ROI (`roi` is given in reference
 /// coordinates).  The current frame is warped once by the rigid transform
 /// mapping `cur_couple` onto `ref_couple` (the couple captured when the
 /// integration started); the accumulator itself is never re-warped, so no
-/// resampling blur accumulates.  `accumulator` may be empty on the first
-/// registered frame.
+/// resampling blur accumulates.  `accumulator` is a sink: move the previous
+/// result's accumulator in and it is updated in place and returned in the
+/// result.  Empty or of another size (the first registered frame), it
+/// restarts the integration.  `bands` (optional) runs the row-local warp
+/// and blend in row bands; the result and the report do not depend on it.
 [[nodiscard]] EnhanceResult enhance(const ImageF32& cur_frame, Rect roi,
-                                    const ImageF32& accumulator,
+                                    ImageF32 accumulator,
                                     const Couple& cur_couple,
                                     const Couple& ref_couple,
-                                    const EnhanceParams& params);
+                                    const EnhanceParams& params,
+                                    const RowBandRunner& bands = {});
 
 /// Translation-only convenience overload: (dx, dy) is the displacement of
 /// the current frame relative to the reference (accumulator) frame.
 [[nodiscard]] EnhanceResult enhance(const ImageF32& cur_frame, Rect roi,
-                                    const ImageF32& accumulator, f64 dx, f64 dy,
+                                    ImageF32 accumulator, f64 dx, f64 dy,
                                     const EnhanceParams& params);
 
 // ---------------------------------------------------------------------------

@@ -22,13 +22,13 @@ constexpr i32 kFilterHalo = 3;
 
 }  // namespace
 
-void RidgeScratch::ensure(i32 width, i32 height) {
-  smooth.ensure(width, height);
-  resp_local.ensure(width, height);
-  blob_local.ensure(width, height);
-  hess.xx.ensure(width, height);
-  hess.xy.ensure(width, height);
-  hess.yy.ensure(width, height);
+void RidgeScratch::ensure(i32 width, i32 rows) {
+  smooth.ensure(width, rows);
+  resp_local.ensure(width, rows);
+  blob_local.ensure(width, rows);
+  hess.xx.ensure(width, rows);
+  hess.xy.ensure(width, rows);
+  hess.yy.ensure(width, rows);
 }
 
 void ridge_detect_rows(const ImageF32& frame, Rect roi,
@@ -43,21 +43,21 @@ void ridge_detect_rows(const ImageF32& frame, Rect roi,
   if (y1 <= y0) return;
 
   // Working buffers: caller-provided scratch (allocation-free in steady
-  // state) or a fresh local set.  Stale scratch only matters for the
-  // response/blobness images — sub-stage D's along-ridge sampling reads up
-  // to kFilterHalo + 1 rows beyond the output band (bilinear interpolation
-  // adds one row), and those reads must see the zeros a serial run sees.
-  // smooth/hess need no clearing: every read falls inside the freshly
-  // written band.
+  // state) or a fresh local set.  Every plane holds the band [b0, b1): the
+  // output rows plus the kFilterHalo + 1 rows sub-stage D's along-ridge
+  // sampling reads beyond them (bilinear interpolation adds one row), full
+  // frame width.  Plane row y - b0 is frame row y.  A band edge inside the
+  // frame lies beyond every read, so clamping at the band's edges reads the
+  // pixels clamping at the frame's edges would.  Stale scratch only matters
+  // for the response plane — D's along-ridge reads there reach beyond the
+  // ROI and the extended band and must see the zeros a serial run sees — so
+  // it is cleared; every other read falls inside freshly written pixels.
   RidgeScratch local;
-  RidgeScratch* s = scratch != nullptr ? scratch : &local;
-  s->ensure(frame.width(), frame.height());
-  const i32 zy0 = std::max(0, y0 - kFilterHalo - 1);
-  const i32 zy1 = std::min(frame.height(), y1 + kFilterHalo + 1);
-  for (i32 y = zy0; y < zy1; ++y) {
-    std::fill_n(s->resp_local.row(y), frame.width(), 0.0f);
-    std::fill_n(s->blob_local.row(y), frame.width(), 0.0f);
-  }
+  RidgeScratch& buf = scratch != nullptr ? *scratch : local;
+  const i32 b0 = std::max(0, y0 - kFilterHalo - 1);
+  const i32 b1 = std::min(frame.height(), y1 + kFilterHalo + 1);
+  buf.ensure(frame.width(), b1 - b0);
+  buf.resp_local.fill(0.0f);
 
   // Extended band: the output band plus the filtering halo, clamped to the
   // ROI so serial and striped runs see identical (zero) values outside it.
@@ -66,21 +66,21 @@ void ridge_detect_rows(const ImageF32& frame, Rect roi,
 
   // Sub-stage A: smooth the extended band (one extra pixel of halo in both
   // directions for the Hessian's central differences).
-  ImageF32& smooth = s->smooth;
+  ImageF32& smooth = buf.smooth;
   gaussian_blur_rect(frame, params.sigma, smooth, IndexRange{ey0 - 1, ey1 + 1},
-                     IndexRange{r.x - 1, r.x + r.w + 1}, &work);
+                     IndexRange{r.x - 1, r.x + r.w + 1}, &work, b0);
 
   // Sub-stage B: Hessian of the smoothed band.
-  HessianImages& hess = s->hess;
-  hessian_rect(smooth, hess, IndexRange{ey0, ey1},
+  HessianImages& hess = buf.hess;
+  hessian_rect(smooth, hess, IndexRange{ey0 - b0, ey1 - b0},
                IndexRange{r.x, r.x + r.w}, &work);
 
   // Sub-stage C: eigenvalues → ridgeness (lambda_max) and blobness
   // (lambda_min clamped at zero) over the extended band, into local images
   // so a striped run never races on the shared outputs.
-  ImageF32& resp_local = s->resp_local;
-  ImageF32& blob_local = s->blob_local;
-  for (i32 y = ey0; y < ey1; ++y) {
+  ImageF32& resp_local = buf.resp_local;
+  ImageF32& blob_local = buf.blob_local;
+  for (i32 y = ey0 - b0; y < ey1 - b0; ++y) {
     for (i32 x = r.x; x < r.x + r.w; ++x) {
       f32 xx = hess.xx.at(x, y);
       f32 yy = hess.yy.at(x, y);
@@ -107,16 +107,17 @@ void ridge_detect_rows(const ImageF32& frame, Rect roi,
   const f32 candidate_floor = 0.3f * params.dominant_threshold;
   u64 candidates = 0;
   for (i32 y = y0; y < y1; ++y) {
+    const i32 by = y - b0;
     for (i32 x = r.x; x < r.x + r.w; ++x) {
-      f32 resp = resp_local.at(x, y);
+      f32 resp = resp_local.at(x, by);
       f32 out = resp;
       if (resp > candidate_floor) {
         ++candidates;
         // Principal-curvature direction from the Hessian; the ridge runs
         // perpendicular to it.
-        f32 xx = hess.xx.at(x, y);
-        f32 yy = hess.yy.at(x, y);
-        f32 xy = hess.xy.at(x, y);
+        f32 xx = hess.xx.at(x, by);
+        f32 yy = hess.yy.at(x, by);
+        f32 xy = hess.xy.at(x, by);
         f32 theta = 0.5f * std::atan2(2.0f * xy, xx - yy);
         f32 dx = -std::sin(theta);
         f32 dy = std::cos(theta);
@@ -125,7 +126,8 @@ void ridge_detect_rows(const ImageF32& frame, Rect roi,
           if (s == 0) continue;
           acc += bilinear_sample(resp_local,
                                  static_cast<f64>(x) + dx * static_cast<f32>(s),
-                                 static_cast<f64>(y) + dy * static_cast<f32>(s));
+                                 static_cast<f64>(y) + dy * static_cast<f32>(s),
+                                 b0);
         }
         f32 along_mean = acc / 6.0f;
         if (along_mean < 0.4f * resp) {
@@ -133,7 +135,7 @@ void ridge_detect_rows(const ImageF32& frame, Rect roi,
         }
       }
       response.at(x, y) = out;
-      blobness.at(x, y) = blob_local.at(x, y);
+      blobness.at(x, y) = blob_local.at(x, by);
       if (out > params.dominant_threshold) ++dominant_pixels;
     }
   }

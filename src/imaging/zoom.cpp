@@ -1,6 +1,6 @@
 // ZOOM — interpolating zoom of the enhanced ROI to the display resolution.
 
-#include <cmath>
+#include <cassert>
 
 #include "imaging/pipeline.hpp"
 
@@ -10,23 +10,13 @@ void zoom_rows(const ImageF32& enhanced, const ZoomParams& params,
                ImageU16& out, IndexRange rows, WorkReport& work) {
   const i32 ow = params.output_width;
   const i32 oh = params.output_height;
-  const i32 y0 = std::clamp(rows.lo, 0, oh);
-  const i32 y1 = std::clamp(rows.hi, 0, oh);
-  const f64 sx = static_cast<f64>(enhanced.width()) / static_cast<f64>(ow);
-  const f64 sy = static_cast<f64>(enhanced.height()) / static_cast<f64>(oh);
-  for (i32 y = y0; y < y1; ++y) {
-    for (i32 x = 0; x < ow; ++x) {
-      f64 srcx = (static_cast<f64>(x) + 0.5) * sx - 0.5;
-      f64 srcy = (static_cast<f64>(y) + 0.5) * sy - 0.5;
-      f32 v = bicubic_sample(enhanced, srcx, srcy);
-      out.at(x, y) = static_cast<u16>(std::clamp(v, 0.0f, 65535.0f) + 0.5f);
-    }
-  }
-  u64 pixels = static_cast<u64>(ow) * static_cast<u64>(y1 - y0);
+  assert(out.width() == ow && out.height() == oh);
+  const i32 n = bicubic_rows(enhanced, enhanced.full_rect(), out, rows);
+  u64 pixels = static_cast<u64>(ow) * static_cast<u64>(n);
   work.pixel_ops += pixels * 40;
   work.bytes_read += pixels * 16 * sizeof(f32);
   work.bytes_written += pixels * sizeof(u16);
-  f64 frac = static_cast<f64>(y1 - y0) / static_cast<f64>(oh);
+  f64 frac = static_cast<f64>(n) / static_cast<f64>(oh);
   work.input_bytes += static_cast<u64>(static_cast<f64>(enhanced.bytes()) * frac);
   work.intermediate_bytes +=
       static_cast<u64>(static_cast<f64>(enhanced.bytes()) * frac);

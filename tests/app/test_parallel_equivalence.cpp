@@ -43,6 +43,7 @@ TEST_P(ParallelEquivalence, StripedWithoutPoolMatchesSerial) {
   StripePlan plan = serial_plan();
   plan[kRdgFull] = stripes;
   plan[kRdgRoi] = stripes;
+  plan[kEnh] = stripes;
   plan[kZoom] = stripes;
   striped.set_stripe_plan(plan);
   expect_equivalent_run(serial, striped, 25);
@@ -58,6 +59,7 @@ TEST(ParallelEquivalencePool, StripedWithThreadPoolMatchesSerial) {
   StripePlan plan = serial_plan();
   plan[kRdgFull] = 4;
   plan[kRdgRoi] = 4;
+  plan[kEnh] = 4;
   plan[kZoom] = 4;
   striped.set_stripe_plan(plan);
   expect_equivalent_run(serial, striped, 25);

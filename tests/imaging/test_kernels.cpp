@@ -118,6 +118,27 @@ TEST(Hessian, MixedTermOnSaddle) {
   EXPECT_FLOAT_EQ(h.xy.at(16, 15), 1.0f);
 }
 
+TEST(Hessian, InvertedRowRangeAccountsNoWork) {
+  ImageF32 im = random_image(32, 32, 2);
+  HessianImages h = make_hessian_images(32, 32);
+  WorkReport wr;
+  hessian_rect(im, h, IndexRange{10, 5}, IndexRange{0, 32}, &wr);
+  hessian_rect(im, h, IndexRange{0, 32}, IndexRange{20, 4}, &wr);
+  EXPECT_EQ(wr.pixel_ops, 0u);
+  EXPECT_EQ(wr.bytes_read, 0u);
+  EXPECT_EQ(wr.bytes_written, 0u);
+}
+
+TEST(Ridgeness, InvertedRowRangeAccountsNoWork) {
+  HessianImages h = make_hessian_images(32, 32);
+  ImageF32 resp(32, 32);
+  WorkReport wr;
+  ridgeness_rows(h, resp, IndexRange{10, 5}, &wr);
+  EXPECT_EQ(wr.pixel_ops, 0u);
+  EXPECT_EQ(wr.bytes_read, 0u);
+  EXPECT_EQ(wr.bytes_written, 0u);
+}
+
 TEST(Ridgeness, DarkLineGivesPositiveResponse) {
   // A dark vertical line on a bright background: f_xx > 0 across the line.
   ImageF32 im(32, 32, 1000.0f);

@@ -75,6 +75,22 @@ TEST(Zoom, StripedRunEqualsSerialRun) {
   }
 }
 
+TEST(Zoom, InvertedRowRangeAccountsNoWork) {
+  ImageF32 roi = gradient_image(16, 16);
+  ZoomParams p;
+  p.output_width = 32;
+  p.output_height = 32;
+  ImageU16 out(32, 32);
+  WorkReport work;
+  zoom_rows(roi, p, out, IndexRange{10, 5}, work);
+  EXPECT_EQ(work.pixel_ops, 0u);
+  EXPECT_EQ(work.bytes_read, 0u);
+  EXPECT_EQ(work.bytes_written, 0u);
+  EXPECT_EQ(work.input_bytes, 0u);
+  EXPECT_EQ(work.intermediate_bytes, 0u);
+  EXPECT_EQ(work.output_bytes, 0u);
+}
+
 TEST(Zoom, WorkScalesWithOutputArea) {
   ImageF32 roi = gradient_image(16, 16);
   ZoomParams small;
