@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
               test.size());
 
   model::GraphPredictor gp(app::kNodeCount, app::kSwitchCount);
-  bench::configure_paper_kinds(gp);
+  model::configure_paper_kinds(gp);
   gp.train(train);
 
   // ---- computation-time accuracy -----------------------------------------

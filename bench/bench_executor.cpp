@@ -20,7 +20,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "app/stentboost.hpp"
@@ -254,69 +253,43 @@ f64 run_pipeline(const Options& opt,
   return wall;
 }
 
-/// One closed-loop ledger run; `bias_correction` A/B-toggles the
-/// ledger-bias feedback into the EWMA forecast.
-struct LedgerRunResult {
-  u64 rows_settled = 0;
-  usize scenarios = 0;
-  f64 mean_cpu_ape_pct = 0.0;
-  f64 p95_cpu_ape_pct = 0.0;
-  std::string json;
-};
-
-LedgerRunResult run_ledger_once(const Options& opt, bool bias_correction) {
+/// The --ledger phase: a closed-loop executor run with the prediction
+/// ledger on and *natural* scenario dynamics (force_full_frame off, so the
+/// data-dependent switches produce their full scenario set), dumped as a
+/// triplec-ledger-v1 document for tools/triplec_ledger.
+void run_ledger_phase(const Options& opt) {
   app::StentBoostConfig config = app::StentBoostConfig::make(
       opt.size, opt.size, opt.frames, /*seed=*/23);
   exec::ExecutorConfig ec;
   ec.worker_threads = opt.workers;
   ec.ledger.enabled = true;
   ec.ledger.capacity = 0;  // keep every row; the report scores them all
-  ec.ledger_bias_correction = bias_correction;
   exec::Executor executor(std::move(config), ec);
   (void)executor.run(opt.frames);
 
-  LedgerRunResult out;
-  obs::PredictionLedger* ledger = executor.ledger();
-  out.rows_settled = ledger->rows_settled();
-  out.json = ledger->dump_json();
-  const std::vector<obs::LedgerRow> rows = ledger->rows();
+  const obs::PredictionLedger* ledger = executor.ledger();
   std::vector<bool> seen(64, false);
+  usize scenarios = 0;
   std::vector<f64> apes;
-  for (const obs::LedgerRow& r : rows) {
+  for (const obs::LedgerRow& r : ledger->rows()) {
     if (r.scenario < seen.size() && !seen[r.scenario]) {
       seen[r.scenario] = true;
-      ++out.scenarios;
+      ++scenarios;
     }
     if (const auto err = r.error_pct(obs::LedgerResource::CpuMs)) {
       apes.push_back(std::abs(*err));
     }
   }
-  if (!apes.empty()) {
-    out.mean_cpu_ape_pct = mean(apes);
-    out.p95_cpu_ape_pct = percentile(apes, 95.0);
-  }
-  return out;
-}
-
-/// The --ledger phase: a closed-loop executor run with the prediction
-/// ledger on and *natural* scenario dynamics (force_full_frame off, so the
-/// data-dependent switches produce their full scenario set), dumped as a
-/// triplec-ledger-v1 document for tools/triplec_ledger.  The run is
-/// repeated with the ledger-bias feedback on (ExecutorConfig::
-/// ledger_bias_correction) as an A/B of the closed calibration loop.
-void run_ledger_phase(const Options& opt) {
-  const LedgerRunResult off = run_ledger_once(opt, /*bias_correction=*/false);
-  const LedgerRunResult on = run_ledger_once(opt, /*bias_correction=*/true);
   std::printf(
       "prediction ledger: %llu rows settled over %d frames, %zu scenarios\n",
-      static_cast<unsigned long long>(off.rows_settled), opt.frames,
-      off.scenarios);
-  std::printf(
-      "ledger bias feedback A/B (CPU APE): off mean %.2f%% p95 %.2f%%  |  "
-      "on mean %.2f%% p95 %.2f%%\n",
-      off.mean_cpu_ape_pct, off.p95_cpu_ape_pct, on.mean_cpu_ape_pct,
-      on.p95_cpu_ape_pct);
-  if (obs::write_text_file(opt.ledger_out, off.json)) {
+      static_cast<unsigned long long>(ledger->rows_settled()), opt.frames,
+      scenarios);
+  if (!apes.empty()) {
+    std::printf("ledger CPU APE: p50 %.2f%% mean %.2f%% p95 %.2f%% (%zu rows)\n",
+                percentile(apes, 50.0), mean(apes), percentile(apes, 95.0),
+                apes.size());
+  }
+  if (obs::write_text_file(opt.ledger_out, ledger->dump_json())) {
     std::printf("wrote %s (render with: triplec_ledger %s --worst 5)\n\n",
                 opt.ledger_out.c_str(), opt.ledger_out.c_str());
   }
@@ -340,7 +313,7 @@ std::string to_json(const Options& opt, const std::vector<Row>& app_rows,
   os << "  \"size\": " << opt.size << ",\n";
   os << "  \"workers\": " << opt.workers << ",\n";
   os << "  \"reps\": " << opt.reps << ",\n";
-  os << "  \"host_cores\": " << bench::affinity_cores() << ",\n";
+  os << "  \"host_cores\": " << plat::affinity_cores() << ",\n";
   rows("stentboost_graph", app_rows);
   os << ",\n";
   rows("kernel_pipeline", pipe_rows);
@@ -455,11 +428,11 @@ int main(int argc, char** argv) {
     std::printf("(smoke mode; speedup gate skipped)\n");
     return 0;
   }
-  const unsigned cores = std::thread::hardware_concurrency();
+  const i32 cores = plat::affinity_cores();
   if (!stripe_wins && cores < 2) {
     // Striping cannot beat serial wall-clock without parallel hardware; the
     // numbers are still valid as an overhead measurement, so don't fail.
-    std::printf("(host has %u core(s); speedup check skipped)\n", cores);
+    std::printf("(process has %d core(s); speedup check skipped)\n", cores);
     return 0;
   }
   return stripe_wins ? 0 : 1;

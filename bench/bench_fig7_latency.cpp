@@ -13,9 +13,10 @@
 #include "common/ascii_plot.hpp"
 #include "common/csv.hpp"
 #include "common/stats.hpp"
-#include "runtime/manager.hpp"
+#include "exec/executor.hpp"
 #include "trace/dataset.hpp"
 #include "tripleC/accuracy.hpp"
+#include "tripleC/paper_kinds.hpp"
 
 using namespace tc;
 
@@ -56,7 +57,7 @@ int main() {
   {
     bench::ScopedWallReport wall("offline training");
     trace::RecordedDataset dataset = trace::build_dataset(tp);
-    bench::configure_paper_kinds(gp);
+    model::configure_paper_kinds(gp);
     gp.train(dataset.sequences);
   }
 
@@ -78,29 +79,30 @@ int main() {
   std::vector<f64> measured;
   i32 repartitions = 0;
   {
-    app::StentBoostApp app(test_sequence_config());
-    rt::ManagerConfig mc;
-    mc.warmup_frames = 10;
+    exec::ExecutorConfig ec;
+    ec.source = exec::MeasurementSource::Simulated;
+    ec.policy = exec::DeadlinePolicy::Run;
+    ec.warmup_frames = 10;
     // Budget exactly at the warm-up average and at most 2-way striping:
     // occasional overrun peaks stay visible, like the small peaks in the
     // paper's Fig. 7 (with 4-way striping the output pins perfectly).
-    mc.budget_headroom = 1.0;
-    mc.max_stripes_per_task = 2;
-    rt::RuntimeManager mgr(app, gp, mc);
+    ec.deadline_headroom = 1.0;
+    ec.max_stripes_per_task = 2;
+    exec::Executor loop(test_sequence_config(), ec, gp);
     app::StripePlan last_plan = app::serial_plan();
     for (i32 t = 0; t < frames; ++t) {
-      rt::ManagedFrame f = mgr.step(t);
-      if (t >= mc.warmup_frames) {
-        managed.push_back(f.output_latency_ms);
-        predicted.push_back(f.predicted_latency_ms);
-        measured.push_back(f.measured_latency_ms);
+      const exec::ExecutedFrame f = loop.step(t);
+      if (t >= ec.warmup_frames) {
+        managed.push_back(f.output_ms);
+        predicted.push_back(f.predicted_ms);
+        measured.push_back(f.measured_ms);
         if (f.plan != last_plan) ++repartitions;
         last_plan = f.plan;
       }
     }
     std::printf("latency budget (initialized close to average case): %.1f ms; "
                 "%d repartitions over %zu frames\n\n",
-                mgr.latency_budget_ms(), repartitions, managed.size());
+                loop.deadline_ms(), repartitions, managed.size());
   }
 
   // ---- headline numbers ---------------------------------------------------

@@ -27,7 +27,7 @@ int main() {
   tp.height = 256;
   trace::RecordedDataset data = trace::build_dataset(tp);
   model::GraphPredictor gp(app::kNodeCount, app::kSwitchCount);
-  bench::configure_paper_kinds(gp);
+  model::configure_paper_kinds(gp);
   gp.train(data.sequences);
 
   std::vector<rt::NodeForecast> fc(app::kNodeCount);

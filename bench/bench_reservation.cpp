@@ -16,8 +16,9 @@
 
 #include "bench_util.hpp"
 #include "common/stats.hpp"
-#include "runtime/manager.hpp"
+#include "exec/executor.hpp"
 #include "trace/dataset.hpp"
+#include "tripleC/paper_kinds.hpp"
 
 using namespace tc;
 
@@ -35,7 +36,7 @@ int main() {
   tp.height = 256;
   trace::RecordedDataset data = trace::build_dataset(tp);
   model::GraphPredictor gp(app::kNodeCount, app::kSwitchCount);
-  bench::configure_paper_kinds(gp);
+  model::configure_paper_kinds(gp);
   gp.train(data.sequences);
 
   // Worst-case per-task serial times over the training set.
@@ -101,22 +102,23 @@ int main() {
               static_cpus, spec.cpu_count);
 
   // Triple-C dynamic run: account actually-occupied CPU-milliseconds.
-  app::StentBoostApp app(test_cfg);
-  rt::ManagerConfig mc;
-  mc.warmup_frames = 10;
-  rt::RuntimeManager mgr(app, gp, mc);
+  exec::ExecutorConfig ec;
+  ec.source = exec::MeasurementSource::Simulated;
+  ec.policy = exec::DeadlinePolicy::Run;
+  ec.warmup_frames = 10;
+  ec.deadline_headroom = 1.10;
+  exec::Executor loop(test_cfg, ec, gp);
   std::vector<f64> used_cpu_ms;
   std::vector<f64> used_cpus_equiv;
   for (i32 t = 0; t < 200; ++t) {
-    rt::ManagedFrame f = mgr.step(t);
-    if (t < mc.warmup_frames) continue;
+    const exec::ExecutedFrame f = loop.step(t);
+    if (t < ec.warmup_frames) continue;
     f64 cpu_ms = 0.0;
-    for (const graph::TaskExecution& exec : f.record.tasks) {
-      if (!exec.executed) continue;
-      i32 stripes = app::node_data_parallel(exec.node)
-                        ? f.plan[static_cast<usize>(exec.node)]
-                        : 1;
-      cpu_ms += exec.simulated_ms * static_cast<f64>(stripes);
+    for (i32 node = 0; node < app::kNodeCount; ++node) {
+      const i32 stripes = app::node_data_parallel(node)
+                              ? f.plan[static_cast<usize>(node)]
+                              : 1;
+      cpu_ms += f.task_ms[static_cast<usize>(node)] * static_cast<f64>(stripes);
     }
     used_cpu_ms.push_back(cpu_ms);
     used_cpus_equiv.push_back(cpu_ms / frame_period_ms);

@@ -12,10 +12,11 @@
 //                        (never crash) while the admitted streams keep
 //                        serving their deadlines;
 //   3. warm start      — a cold stream retires, publishing its predictor
-//                        stack; an identical stream admitted afterwards
-//                        warm-starts from the registry and its early-frame
-//                        CPU prediction error is compared against the cold
-//                        stream's (the ledger calibration report).
+//                        snapshot; an identical stream submitted afterwards
+//                        must be priced from the registry (no probe).  Both
+//                        streams learn their predictors from frame 0; their
+//                        early-frame CPU prediction errors are printed side
+//                        by side (the ledger calibration report).
 //
 // With --telemetry a fourth phase measures the live ops plane's cost: the
 // 4-stream fleet is served twice — once bare, once with the telemetry
@@ -228,8 +229,8 @@ struct WarmStartResult {
   bool warm_started = false;
 };
 
-/// A cold stream retires and publishes its stack; an identical stream then
-/// warm-starts from the registry.  Early-frame CPU APE compares the two.
+/// A cold stream retires and publishes its snapshot; an identical stream
+/// is then priced from the registry.  Early-frame CPU APE of both streams.
 WarmStartResult run_warm_start(const Options& opt, f64 deadline_ms) {
   serve::ServeConfig sc;
   sc.pool_threads = opt.workers;
@@ -266,7 +267,7 @@ std::string to_json(const Options& opt, const std::vector<PhaseResult>& sweep,
   os << "  \"frames\": " << opt.frames << ",\n";
   os << "  \"size\": " << opt.size << ",\n";
   os << "  \"workers\": " << opt.workers << ",\n";
-  os << "  \"host_cores\": " << bench::affinity_cores() << ",\n";
+  os << "  \"host_cores\": " << plat::affinity_cores() << ",\n";
   os << "  \"serve_fleet\": [\n";
   for (usize i = 0; i < sweep.size(); ++i) {
     const PhaseResult& r = sweep[i];
@@ -394,14 +395,6 @@ int main(int argc, char** argv) {
   if (!warm.warm_started) {
     std::printf("FAIL: second same-class stream did not warm-start\n");
     ok = false;
-  }
-  // Calibration expectation, not a hard gate: warm streams should predict
-  // their early frames better than cold ones.
-  if (warm.cold_early_ape_pct >= 0.0 && warm.warm_early_ape_pct >= 0.0 &&
-      warm.warm_early_ape_pct > warm.cold_early_ape_pct) {
-    std::printf("warning: warm early APE did not beat cold "
-                "(%.2f%% vs %.2f%%)\n",
-                warm.warm_early_ape_pct, warm.cold_early_ape_pct);
   }
   if (opt.smoke) {
     std::printf("(smoke mode; gates reported but not enforced)\n");

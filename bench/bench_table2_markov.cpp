@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   trace::RecordedDataset dataset = trace::build_dataset(params);
 
   model::GraphPredictor gp(app::kNodeCount, app::kSwitchCount);
-  bench::configure_paper_kinds(gp);
+  model::configure_paper_kinds(gp);
   gp.train(dataset.sequences);
 
   // ---- Table 2(a): the ridge task's Markov chain -------------------------

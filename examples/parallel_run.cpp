@@ -2,12 +2,12 @@
 // StentBoost graph for real, with live repartitioning and the full
 // diagnostics stack (flight recorder, drift/SLO monitors, post-mortems).
 //
-// The exec::Executor predicts each frame's host latency (per-node EWMA +
-// frame-level Markov correction), picks a stripe plan that fits the
-// deadline, runs the frame on its worker pool, and feeds the measured times
-// back.  Scenario dynamics (ridge detection switching off, the pipeline
+// The exec::Executor predicts each frame's host latency (one EWMA per node,
+// learnt online by model::GraphPredictor), picks a stripe plan that fits
+// the deadline, runs the frame on its worker pool, and feeds the measured
+// times back.  Scenario dynamics (ridge detection switching off, the pipeline
 // entering ROI mode) move the prediction across the plan boundary, so the
-// plan changes live — every repartition is visible as an "exec_repartition"
+// plan changes live — every repartition is visible as a "repartition"
 // instant event in the exported Chrome trace (chrome://tracing or
 // https://ui.perfetto.dev).
 //
@@ -65,7 +65,7 @@ int main() {
       continue;  // keep it short
     }
     std::printf("%6d %8u %10.2f %10.2f %6d %7s %s%s\n", f.frame, f.scenario,
-                f.predicted_host_ms, f.measured_host_ms, f.quality_level,
+                f.predicted_ms, f.measured_ms, f.quality_level,
                 f.repartitioned ? "yes" : "",
                 rt::plan_to_string(f.plan).c_str(),
                 f.deadline_miss ? "  << MISS" : "");
@@ -75,9 +75,8 @@ int main() {
   std::printf("\nframes=%d managed=%d misses=%d degraded=%d repartitions=%d\n",
               stats.frames, stats.managed_frames, stats.deadline_misses,
               stats.degraded_frames, stats.repartitions);
-  std::printf("drift_alerts=%d slo_breaches=%d retrains=%d postmortems=%d\n",
-              stats.drift_alerts, stats.slo_breaches, stats.retrains,
-              stats.postmortems);
+  std::printf("drift_alerts=%d slo_breaches=%d postmortems=%d\n",
+              stats.drift_alerts, stats.slo_breaches, stats.postmortems);
   std::printf("deadline=%.2f ms, mean measured=%.2f ms\n",
               executor.deadline_ms(), stats.mean_measured_ms);
   std::printf("flight recorder: %zu live events on %zu threads\n",

@@ -1,8 +1,9 @@
-// Runtime adaptation demo: the Triple-C-driven resource manager keeping the
-// output latency constant while the scenario mix changes (contrast bolus
-// arriving mid-sequence, marker dropouts, ROI acquisition/loss).
+// Runtime adaptation demo: the Triple-C loop (exec::Executor on the simulated
+// platform) keeping the output latency constant while the scenario mix
+// changes (contrast bolus arriving mid-sequence, marker dropouts, ROI
+// acquisition/loss).
 //
-// Shows per-frame: the active scenario, the plan the manager chose, the
+// Shows per-frame: the active scenario, the plan the loop chose, the
 // prediction, the compute latency and the delivered output latency.
 //
 // Usage: runtime_adaptation [frames] [width]
@@ -13,45 +14,12 @@
 #include "app/stentboost.hpp"
 #include "common/ascii_plot.hpp"
 #include "common/stats.hpp"
+#include "exec/executor.hpp"
 #include "graph/scenario.hpp"
-#include "runtime/manager.hpp"
 #include "trace/dataset.hpp"
-#include "tripleC/graph_predictor.hpp"
+#include "tripleC/paper_kinds.hpp"
 
 using namespace tc;
-
-namespace {
-
-/// The Table-2(b) predictor configuration (same as the benches).
-void configure(model::GraphPredictor& gp) {
-  using model::PredictorConfig;
-  using model::PredictorKind;
-  auto cfg = [](PredictorKind kind) {
-    PredictorConfig c;
-    c.kind = kind;
-    return c;
-  };
-  gp.configure_task(app::kRdgFull, cfg(PredictorKind::EwmaMarkov));
-  gp.configure_task(app::kRdgRoi, cfg(PredictorKind::LinearMarkov));
-  gp.configure_task(app::kMkxFull, cfg(PredictorKind::Constant));
-  gp.configure_task(app::kMkxRoi, cfg(PredictorKind::LinearMarkov));
-  gp.configure_task(app::kCplsSel, cfg(PredictorKind::EwmaMarkov));
-  gp.configure_task(app::kReg, cfg(PredictorKind::Constant));
-  gp.configure_task(app::kRoiEst, cfg(PredictorKind::Constant));
-  gp.configure_task(app::kGwExt, cfg(PredictorKind::EwmaMarkov));
-  gp.configure_task(app::kEnh, cfg(PredictorKind::EwmaMarkov));
-  gp.configure_task(app::kZoom, cfg(PredictorKind::Constant));
-  gp.set_context_fn([](const graph::FrameRecord* prev, i32 node) -> u32 {
-    if (node == app::kEnh) {
-      return (prev != nullptr && ((prev->scenario >> app::kSwReg) & 1u) != 0)
-                 ? 1u
-                 : 0u;
-    }
-    return 0u;
-  });
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const i32 frames = argc > 1 ? std::atoi(argv[1]) : 120;
@@ -65,34 +33,38 @@ int main(int argc, char** argv) {
   tp.height = size;
   trace::RecordedDataset dataset = trace::build_dataset(tp);
   model::GraphPredictor gp(app::kNodeCount, app::kSwitchCount);
-  configure(gp);
+  model::configure_paper_kinds(gp);
   gp.train(dataset.sequences);
 
   app::StentBoostConfig c = app::StentBoostConfig::make(size, size, frames, 99);
   c.sequence.contrast_in_frame = frames / 3;
   c.sequence.contrast_out_frame = (4 * frames) / 5;
   c.sequence.marker_dropout_prob = 0.03;
-  app::StentBoostApp app(c);
-  rt::RuntimeManager mgr(app, gp, rt::ManagerConfig{});
+  exec::ExecutorConfig ec;
+  ec.source = exec::MeasurementSource::Simulated;
+  ec.policy = exec::DeadlinePolicy::Run;
+  ec.warmup_frames = 10;
+  ec.deadline_headroom = 1.10;
+  exec::Executor loop(c, ec, gp);
 
   std::printf("\n%5s %-20s %-22s %8s %8s %8s\n", "frame", "scenario", "plan",
               "pred", "compute", "output");
-  std::vector<std::string> names = app.graph().switch_names();
+  std::vector<std::string> names = loop.app().graph().switch_names();
   std::vector<f64> outputs;
   std::vector<f64> computes;
   for (i32 t = 0; t < frames; ++t) {
-    rt::ManagedFrame f = mgr.step(t);
-    outputs.push_back(f.output_latency_ms);
-    computes.push_back(f.measured_latency_ms);
+    const exec::ExecutedFrame f = loop.step(t);
+    outputs.push_back(f.output_ms);
+    computes.push_back(f.measured_ms);
     if (t % 5 == 0) {
       std::printf("%5d %-20s %-22s %8.1f %8.1f %8.1f\n", t,
-                  graph::scenario_label(f.record.scenario, names).c_str(),
-                  rt::plan_to_string(f.plan).c_str(), f.predicted_latency_ms,
-                  f.measured_latency_ms, f.output_latency_ms);
+                  graph::scenario_label(f.scenario, names).c_str(),
+                  rt::plan_to_string(f.plan).c_str(), f.predicted_ms,
+                  f.measured_ms, f.output_ms);
     }
   }
 
-  std::printf("\nlatency budget: %.1f ms\n", mgr.latency_budget_ms());
+  std::printf("\nlatency budget: %.1f ms\n", loop.deadline_ms());
   std::printf("compute latency: mean %.1f ms, sigma %.2f\n", mean(computes),
               stddev(computes));
   std::printf("output latency:  mean %.1f ms, sigma %.2f (held constant by "

@@ -1,20 +1,20 @@
 // Multi-stream serving quickstart — one shared runtime serving a small
 // fleet of fluoroscopy streams with prediction-driven admission control,
-// weighted-fair scheduling, and warm-started predictors.
+// weighted-fair scheduling, and warm admission from a predictor registry.
 //
 // Four streams are submitted against a single worker pool:
 //
 //   * "or_1"  — interventional suite, tight deadline, double weight;
-//   * "or_2"  — same class as or_1 (admitted second, so it warm-starts
-//               from the predictor registry once or_1 publishes — in this
-//               single batch it shares the class key but both start cold);
+//   * "or_2"  — same class as or_1 (it shares the class key, but in this
+//               single batch nothing has been published yet, so both are
+//               priced by a cold probe);
 //   * "review" — offline review stream, relaxed deadline, half weight;
 //   * "kiosk" — an absurd 0.5 ms deadline no plan can meet: the admission
 //               controller must reject it up front.
 //
 // After drain(), a fifth stream of or_1's class is submitted: it finds the
-// retired streams' published predictor stack in the registry, skips the
-// cold-start probe, and its early frames are already calibrated.
+// retired streams' published predictor snapshot in the registry and is
+// priced from it, skipping the cold-start probe.
 //
 // Outputs: serve_fleet_metrics.prom (fleet gauges + per-stream SLOs).
 //
@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
   std::printf("\nfirst batch:\n");
   for (const serve::StreamReport& s : server.reports()) print_stream(s);
 
-  // A follow-up stream of the same class warm-starts from the registry.
+  // A follow-up stream of the same class is priced from the registry.
   std::printf("\nsubmitting a warm follow-up of or_1's class...\n");
   const i32 warm_id =
       server.submit(make_stream("or_3", 192, tight, 2.0, /*seed=*/15));

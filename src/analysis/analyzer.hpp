@@ -1,5 +1,5 @@
 // triplec-lint analyzer: composes the validation passes over everything the
-// runtime manager is about to trust — the flow graph, the graph predictor
+// control loop is about to trust — the flow graph, the graph predictor
 // (per-task models + scenario table), the platform spec, and optional
 // memory rows — *before* any frame executes.
 //
@@ -23,7 +23,7 @@ enum class Policy { Permissive, Strict };
 [[nodiscard]] std::string_view to_string(Policy p);
 
 /// Everything the analyzer may look at.  Null members skip their passes, so
-/// the same entry point serves the manager (graph + predictor + platform at
+/// the same entry point serves the executor (graph + predictor + platform at
 /// startup) and the CLI (additionally memory rows captured from a run).
 struct AnalysisInput {
   const graph::FlowGraph* graph = nullptr;

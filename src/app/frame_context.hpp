@@ -172,7 +172,7 @@ struct FrameContext {
   graph::ExecContext gctx;
 
   /// One reusable scratch set per concurrent ridge instance, each sized to
-  /// that instance's band.
+  /// that instance's band (rebuilt when the instance count changes).
   std::vector<img::RidgeScratch> ridge_scratch;
 };
 

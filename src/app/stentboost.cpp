@@ -433,7 +433,8 @@ void StentBoostApp::run_instances(
                                 static_cast<f64>(count));
   }
   if (pool_ != nullptr && instances > 1 && ctx.budget.max_concurrent != 1) {
-    pool_->parallel_ranges(count, instances, body);
+    // At most max_concurrent instances in flight (0 = the pool's width).
+    pool_->parallel_ranges(count, instances, body, ctx.budget.max_concurrent);
   } else {
     for (i32 i = 0; i < instances; ++i) {
       body(i, plat::even_chunk(count, instances, i));
@@ -459,9 +460,21 @@ std::optional<img::WorkReport> StentBoostApp::run_rdg(FrameContext& ctx,
   ctx.ridge.blobness.fill(0.0f);
   ctx.ridge.dominant_pixels = 0;
 
-  const usize scratch_count = static_cast<usize>(std::max(stripes, 1));
-  if (ctx.ridge_scratch.size() < scratch_count) {
-    ctx.ridge_scratch.resize(scratch_count);
+  // One scratch set per instance, sized here on the calling thread: a
+  // striped frame then allocates nothing on the pool's workers (whose
+  // per-thread heaps keep what they allocated), and a change of the
+  // instance count frees the old sets before the new bands allocate, so a
+  // full-frame serial scratch and a striped frame's bands are never
+  // resident together — memory follows the frame, not the plan history.
+  const i32 instances = std::max(stripes, 1);
+  if (ctx.ridge_scratch.size() != static_cast<usize>(instances)) {
+    std::vector<img::RidgeScratch>(static_cast<usize>(instances))
+        .swap(ctx.ridge_scratch);
+  }
+  for (i32 b = 0; b < instances; ++b) {
+    const IndexRange band = plat::even_chunk(r.h, instances, b);
+    ctx.ridge_scratch[static_cast<usize>(b)].ensure_for(
+        frame, r, IndexRange{r.y + band.lo, r.y + band.hi});
   }
 
   if (stripes <= 1) {

@@ -72,7 +72,7 @@ static_assert(kNodeCount == kFrameNodeCount,
 [[nodiscard]] bool node_data_parallel(i32 node);
 
 /// Which nodes run under a scenario (switch bitmask, bits = Switch enum):
-/// the static mirror of RuntimeManager::forecast's per-frame activity rules
+/// the static mirror of exec::Executor::forecast's per-frame activity rules
 /// (RDG granularity variants select on SW_RDG/SW_ROI, ENH/ZOOM gate on
 /// SW_REG).  triplec-audit enumerates all 2^kSwitchCount masks through this
 /// to prove per-scenario properties offline.

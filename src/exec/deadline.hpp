@@ -1,6 +1,6 @@
 // Per-frame deadline quality-of-service policy shared by the executors.
 //
-// The paper's runtime manager keeps the *output* latency constant; the host
+// The paper's runtime manager keeps the *output* latency constant; the
 // executors enforce the same contract with a per-frame deadline.  What
 // happens to a late frame is configurable:
 //

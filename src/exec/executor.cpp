@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <deque>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -33,48 +33,76 @@ plat::CostParams host_cost_params() {
 
 namespace {
 
-/// Granularity sibling used as an EWMA fallback while a node's own filter
-/// is unprimed (full-frame <-> ROI variants process the same kernel).
-i32 sibling_node(i32 node) {
-  switch (node) {
-    case app::kRdgFull:
-      return app::kRdgRoi;
-    case app::kRdgRoi:
-      return app::kRdgFull;
-    case app::kMkxFull:
-      return app::kMkxRoi;
-    case app::kMkxRoi:
-      return app::kMkxFull;
-    default:
-      return -1;
+/// Smoothing of the auxiliary memory/bus filters behind the ledger.
+constexpr f64 kAuxEwmaAlpha = 0.3;
+/// Degrade policy: lift one quality level after this many consecutive
+/// frames whose forecast would fit at the better level.
+constexpr i32 kQosRecoverAfter = 4;
+/// Ledger rows embedded in each post-mortem bundle (most recent first).
+constexpr usize kPostmortemLedgerRows = 32;
+/// Simulated frames that train the startup audit's throwaway predictor
+/// when the loop's own predictor is untrained.
+constexpr i32 kAuditTrainingFrames = 48;
+/// Name of the frame-latency drift stream.
+constexpr const char* kFrameDriftStream = "frame_latency";
+
+/// The loop's default predictor: one EWMA per node, learnt online.
+model::GraphPredictor online_ewma_predictor() {
+  model::GraphPredictor gp(app::kNodeCount, app::kSwitchCount);
+  model::PredictorConfig c;
+  c.kind = model::PredictorKind::Ewma;
+  for (i32 node = 0; node < app::kNodeCount; ++node) gp.configure_task(node, c);
+  return gp;
+}
+
+/// Forecast of one frame from `predictor`: `active` nodes at their current
+/// prediction, ROI-granularity nodes priced at `roi_px`.
+std::vector<rt::NodeForecast> forecast_nodes(
+    const model::GraphPredictor& predictor,
+    const std::array<bool, app::kNodeCount>& active, f64 full_px,
+    f64 roi_px) {
+  std::vector<rt::NodeForecast> fc(app::kNodeCount);
+  for (i32 node = 0; node < app::kNodeCount; ++node) {
+    rt::NodeForecast& f = fc[static_cast<usize>(node)];
+    f.active = active[static_cast<usize>(node)];
+    f.data_parallel = app::node_data_parallel(node);
+    if (!f.active) continue;
+    const bool roi_sized = node == app::kRdgRoi || node == app::kMkxRoi ||
+                           node == app::kEnh || node == app::kZoom;
+    const bool full_sized = node == app::kRdgFull || node == app::kMkxFull;
+    f.serial_ms = predictor.predict_task(
+        node, roi_sized ? roi_px : (full_sized ? full_px : 0.0));
   }
+  return fc;
 }
 
 }  // namespace
 
-f64 PredictorSnapshot::mean_frame_ms() const {
-  if (frame_markov.fitted()) return frame_markov.unconditional_mean();
-  f64 total = 0.0;
-  for (usize node = 0; node < node_serial_ms.size(); ++node) {
-    if (node_primed[node]) total += node_serial_ms[node];
-  }
-  return total;
+std::vector<rt::NodeForecast> PredictorSnapshot::forecast() const {
+  return forecast_nodes(predictor,
+                        app::scenario_node_activity(predictor.predict_scenario()),
+                        0.0, 0.0);
 }
 
 Executor::Executor(app::StentBoostConfig app_config, ExecutorConfig config)
-    : config_(config),
-      owned_pool_(config.shared_pool != nullptr
+    : Executor(std::move(app_config), std::move(config),
+               online_ewma_predictor()) {}
+
+Executor::Executor(app::StentBoostConfig app_config, ExecutorConfig config,
+                   model::GraphPredictor predictor)
+    : config_(std::move(config)),
+      owned_pool_(config_.shared_pool != nullptr
                       ? nullptr
                       : std::make_unique<plat::ThreadPool>(
-                            config.worker_threads <= 0
+                            config_.worker_threads <= 0
                                 ? 0
-                                : static_cast<usize>(config.worker_threads))),
-      pool_(config.shared_pool != nullptr ? config.shared_pool
-                                          : owned_pool_.get()),
-      app_(std::move(app_config), pool_) {
-  node_ewma_.fill(model::EwmaFilter(config_.ewma_alpha));
+                                : static_cast<usize>(config_.worker_threads))),
+      pool_(config_.shared_pool != nullptr ? config_.shared_pool
+                                           : owned_pool_.get()),
+      app_(std::move(app_config), pool_),
+      predictor_(std::move(predictor)) {
   for (auto& per_node : node_aux_ewma_) {
-    per_node.fill(model::EwmaFilter(config_.ewma_alpha));
+    per_node.fill(model::EwmaFilter(kAuxEwmaAlpha));
   }
   // Graph topology for the ledger's I/O-bus attribution: a node with no
   // incoming edge ingests from the camera, one with no outgoing edge feeds
@@ -86,29 +114,35 @@ Executor::Executor(app::StentBoostConfig app_config, ExecutorConfig config)
     node_is_source_[static_cast<usize>(e.to)] = false;
   }
   if (config_.validate_at_startup) {
-    // Admission control: the graph and platform spec are linted before any
-    // frame executes (Strict throws analysis::AnalysisError).
+    // Static validation before the first frame: a malformed graph, predictor
+    // configuration or platform spec fails here (under Strict) instead of
+    // corrupting a run.
     analysis::AnalysisInput input;
     input.graph = &app_.graph();
+    input.predictor = &predictor_;
     input.platform = &app_.config().platform;
     validation_report_ = analysis::Analyzer{}.run(input);
     analysis::enforce(validation_report_, config_.validation_policy);
   }
   if (config_.audit_at_startup) {
-    // Schedulability proof before the first frame: train a throwaway
-    // predictor on a simulated copy of the application (the executor's own
-    // app keeps its pristine inter-frame state), capture Table-1 memory
-    // rows, then audit all scenarios × the runtime plan search space.
-    app::StentBoostApp train_app(app_.config());
-    model::GraphPredictor predictor(app::kNodeCount, app::kSwitchCount);
-    std::vector<graph::FrameRecord> records =
-        train_app.run(std::max(1, config_.audit_training_frames));
-    std::vector<std::vector<graph::FrameRecord>> seqs = {records};
-    predictor.train(seqs);
-    std::vector<model::MemoryRow> rows = rt::capture_memory_rows(
-        records, app_.config().cost.resolution_scale);
-    analysis::audit::AuditResult audit =
-        rt::audit_app(train_app, predictor, rows, config_.audit_options);
+    // Schedulability proof before the first frame over all scenarios × the
+    // runtime plan search space.  An untrained predictor prices every task
+    // at 0 ms (a vacuous proof), so one is trained on a throwaway simulated
+    // copy of the application (the executor's own app keeps its pristine
+    // inter-frame state), which also yields Table-1 memory rows.
+    analysis::audit::AuditResult audit;
+    if (predictor_.trained()) {
+      audit = rt::audit_app(app_, predictor_, {}, config_.audit_options);
+    } else {
+      app::StentBoostApp train_app(app_.config());
+      model::GraphPredictor trained(app::kNodeCount, app::kSwitchCount);
+      std::vector<std::vector<graph::FrameRecord>> seqs = {
+          train_app.run(kAuditTrainingFrames)};
+      trained.train(seqs);
+      const std::vector<model::MemoryRow> rows = rt::capture_memory_rows(
+          seqs.front(), app_.config().cost.resolution_scale);
+      audit = rt::audit_app(train_app, trained, rows, config_.audit_options);
+    }
     audit_report_ = std::move(audit.report);
     analysis::enforce(audit_report_, config_.audit_policy);
   }
@@ -136,44 +170,14 @@ Executor::Executor(app::StentBoostConfig app_config, ExecutorConfig config)
     ledger_ = std::make_unique<obs::PredictionLedger>(
         std::move(lc), obs::enabled() ? &obs::global().metrics : nullptr);
   }
-  if (config_.telemetry.enabled) {
-    status_agg_ = std::make_unique<obs::StatusAggregator>();
-    status_agg_->set_streams_provider([this] { return status_json(); });
-    if (ledger_ != nullptr) {
-      status_agg_->set_ledger_provider(
-          [this] { return ledger_->rows(); },
-          [](i32 node) { return std::string(app::node_name(node)); });
-    }
-    telemetry_ = std::make_unique<obs::TelemetryServer>(config_.telemetry,
-                                                        status_agg_.get());
-    telemetry_->start();
-    // The validation/audit startup gates above have passed: ready.
-    status_agg_->set_ready(true);
-  }
 }
 
-Executor::StatusSnapshot Executor::status_snapshot() const {
-  common::MutexLock lock(status_mutex_);
-  return status_;
+const plat::CostParams& Executor::cost() const {
+  return simulated() ? app_.config().cost : config_.host_cost;
 }
 
-std::string Executor::status_json() const {
-  const StatusSnapshot s = status_snapshot();
-  char deadline[32];
-  std::snprintf(deadline, sizeof(deadline), "%.6g", s.deadline_ms);
-  char mean[32];
-  std::snprintf(mean, sizeof(mean), "%.6g", s.stats.mean_measured_ms);
-  std::string out = "{\"ready\":true,\"streams\":[{\"id\":0";
-  out += ",\"name\":\"executor\",\"state\":\"active\"";
-  out += ",\"deadline_ms\":" + std::string(deadline);
-  out += ",\"frames_done\":" + std::to_string(s.stats.frames);
-  out += ",\"managed_frames\":" + std::to_string(s.stats.managed_frames);
-  out += ",\"deadline_misses\":" + std::to_string(s.stats.deadline_misses);
-  out += ",\"degraded_frames\":" + std::to_string(s.stats.degraded_frames);
-  out += ",\"repartitions\":" + std::to_string(s.stats.repartitions);
-  out += ",\"mean_ms\":" + std::string(mean);
-  out += "}]}";
-  return out;
+i32 Executor::planner_cpus() const {
+  return simulated() ? app_.config().platform.cpu_count : effective_threads();
 }
 
 i32 Executor::effective_threads() const {
@@ -181,64 +185,27 @@ i32 Executor::effective_threads() const {
   return pool_share_ > 0 ? std::min(pool_share_, pool) : pool;
 }
 
-f64 Executor::node_estimate(i32 node) const {
-  const auto& filter = node_ewma_[static_cast<usize>(node)];
-  if (filter.primed()) return filter.value();
-  const i32 sib = sibling_node(node);
-  if (sib >= 0 && node_ewma_[static_cast<usize>(sib)].primed()) {
-    return node_ewma_[static_cast<usize>(sib)].value();
-  }
-  return 0.0;
-}
-
-std::vector<rt::NodeForecast> Executor::host_forecast() const {
-  std::vector<rt::NodeForecast> fc(app::kNodeCount);
-  // RDG and ROI switch values are inter-frame state known before the frame
-  // starts; the registration outcome is uncertain, so ENH/ZOOM time is
-  // always reserved (over-reserving is the safe direction for a deadline).
-  const bool rdg = app_.rdg_active();
+std::vector<rt::NodeForecast> Executor::forecast(bool reserve_enh_zoom) const {
+  // The RDG and ROI switches are inter-frame state known before the frame
+  // starts; only the registration outcome is uncertain.
   const bool roi = app_.roi_valid();
-  auto set = [&](i32 node, bool active) {
-    auto& f = fc[static_cast<usize>(node)];
-    f.active = active;
-    f.data_parallel = app::node_data_parallel(node);
-    if (active) f.serial_ms = node_estimate(node);
-  };
-  set(app::kRdgFull, rdg && !roi);
-  set(app::kRdgRoi, rdg && roi);
-  set(app::kMkxFull, !roi);
-  set(app::kMkxRoi, roi);
-  set(app::kCplsSel, true);
-  set(app::kReg, true);
-  set(app::kRoiEst, true);
-  set(app::kGwExt, rdg);
-  set(app::kEnh, true);
-  set(app::kZoom, true);
-  return fc;
-}
+  const bool reg =
+      reserve_enh_zoom ||
+      ((predictor_.predict_scenario() >> app::kSwReg) & 1u) != 0;
+  const graph::ScenarioId scenario =
+      (app_.rdg_active() ? 1u << app::kSwRdg : 0u) |
+      (roi ? 1u << app::kSwRoi : 0u) | (reg ? 1u << app::kSwReg : 0u);
 
-f64 Executor::feed_back(const graph::FrameRecord& record,
-                        const app::StripePlan& plan) {
-  f64 serial_total = 0.0;
-  for (const graph::TaskExecution& exec : record.tasks) {
-    if (!exec.executed) continue;
-    // The filters model *serial* execution: normalize striped measurements
-    // back through the inverse of the stripe cost model.
-    f64 serial_ms = exec.host_ms;
-    const i32 stripes = plan[static_cast<usize>(exec.node)];
-    if (app::node_data_parallel(exec.node) && stripes > 1) {
-      serial_ms = plat::serial_ms_from_striped(config_.host_cost, exec.host_ms,
-                                             stripes);
-    }
-    node_ewma_[static_cast<usize>(exec.node)].update(serial_ms);
-    serial_total += serial_ms;
-  }
-  if (frame_markov_.fitted()) {
-    // On-line model training (the paper's profiling feedback).
-    frame_markov_.observe_transition(last_serial_total_ms_, serial_total);
-  }
-  last_serial_total_ms_ = serial_total;
-  return serial_total;
+  const app::StentBoostConfig& c = app_.config();
+  const f64 full_px = static_cast<f64>(c.sequence.width) *
+                      static_cast<f64>(c.sequence.height) *
+                      c.cost.resolution_scale;
+  const f64 roi_px =
+      roi ? static_cast<f64>(app_.current_roi().area()) *
+                c.cost.resolution_scale
+          : full_px;
+  return forecast_nodes(predictor_, app::scenario_node_activity(scenario),
+                        full_px, roi_px);
 }
 
 void Executor::apply_quality(i32 frame, i32 ladder_index) {
@@ -256,96 +223,87 @@ void Executor::apply_quality(i32 frame, i32 ladder_index) {
   }
 }
 
-f64 Executor::plan_frame(i32 t, i32 frames_in_flight, ExecutedFrame& result) {
+void Executor::plan_frame(i32 t, i32 frames_in_flight,
+                          ExecutedFrame& result) {
   result.frame = t;
   result.managed = deadline_set_;
   result.deadline_ms = deadline_ms_;
 
+  // Planning forecast: ENH and ZOOM reserved.  Warm-up frames run serially.
+  const std::vector<rt::NodeForecast> fc = forecast(/*reserve_enh_zoom=*/true);
   rt::PlanChoice choice;
   choice.plan = app::serial_plan();
-  app::StripePlan plan = app::serial_plan();
-  f64 ewma_total = 0.0;  // pre-Markov serial-equivalent forecast (drift input)
-  std::vector<rt::NodeForecast> fc;  // Markov-scaled (ledger prediction input)
-  if (result.managed && config_.adapt) {
-    fc = host_forecast();
-    if (ledger_ != nullptr && config_.ledger_bias_correction) bias_correct(fc);
-    // Markov correction: scale the long-term EWMA forecast by the chain's
-    // conditional expectation of the next frame total (short-term state).
-    for (const rt::NodeForecast& f : fc) {
-      if (f.active) ewma_total += f.serial_ms;
-    }
-    if (frame_markov_.fitted() && ewma_total > 1e-9) {
-      const f64 markov_total =
-          frame_markov_.predict_next(last_serial_total_ms_);
-      const f64 scale = std::clamp(markov_total / ewma_total, 0.5, 2.0);
-      for (rt::NodeForecast& f : fc) f.serial_ms *= scale;
-    }
-    if (config_.policy == DeadlinePolicy::Degrade && quality_index_ > 0) {
-      const auto ladder = rt::quality_ladder();
-      // Recovery hysteresis: lift one level only after qos_recover_after
-      // consecutive frames whose forecast fits at the better level.
-      std::vector<rt::NodeForecast> better_fc = rt::degrade_forecast(
-          fc, ladder[static_cast<usize>(quality_index_ - 1)]);
-      const rt::PlanChoice better =
-          rt::choose_plan(config_.host_cost, better_fc, deadline_ms_,
-                          config_.max_stripes_per_task,
-                          effective_threads());
-      recover_streak_ = better.fits_budget ? recover_streak_ + 1 : 0;
-      if (recover_streak_ >= config_.qos_recover_after) {
-        apply_quality(t, quality_index_ - 1);
-        recover_streak_ = 0;
-      }
-    }
-    auto plan_at_current_quality = [&]() {
-      std::vector<rt::NodeForecast> eff = fc;
-      if (quality_index_ > 0) {
-        eff = rt::degrade_forecast(
-            fc, rt::quality_ladder()[static_cast<usize>(quality_index_)]);
-      }
-      return rt::choose_plan(config_.host_cost, eff, deadline_ms_,
-                             config_.max_stripes_per_task,
-                             effective_threads());
-    };
-    choice = plan_at_current_quality();
+  if (result.managed) {
     if (config_.policy == DeadlinePolicy::Degrade) {
-      const i32 max_index = narrow<i32>(rt::quality_ladder().size()) - 1;
-      while (!choice.fits_budget && quality_index_ < max_index) {
-        apply_quality(t, quality_index_ + 1);
+      const auto ladder = rt::quality_ladder();
+      if (quality_index_ > 0) {
+        // Recovery hysteresis: lift one level only after kQosRecoverAfter
+        // consecutive frames whose forecast fits at the better level.
+        const rt::PlanChoice better = rt::choose_plan(
+            cost(),
+            rt::degrade_forecast(
+                fc, ladder[static_cast<usize>(quality_index_ - 1)]),
+            deadline_ms_, config_.max_stripes_per_task, planner_cpus());
+        recover_streak_ = better.fits_budget ? recover_streak_ + 1 : 0;
+        if (recover_streak_ >= kQosRecoverAfter) {
+          apply_quality(t, quality_index_ - 1);
+          recover_streak_ = 0;
+        }
+      }
+      const rt::QualityPlan walk = rt::walk_quality_ladder(
+          cost(), fc, deadline_ms_, config_.max_stripes_per_task,
+          planner_cpus(), quality_index_);
+      if (walk.level != quality_index_) {
+        apply_quality(t, walk.level);
         recover_streak_ = 0;
-        choice = plan_at_current_quality();
       }
-    }
-    plan = choice.plan;
-    result.predicted_host_ms = choice.estimated_ms;
-    if (obs::enabled()) {
-      obs::FlightRecorder& flight = obs::global().flight;
-      flight.record(obs::FrEventType::PlanChoice, t, -1,
-                    std::accumulate(plan.begin(), plan.end(), 0.0),
-                    choice.estimated_ms);
-      if (frame_markov_.fitted()) {
-        flight.record(
-            obs::FrEventType::MarkovState, t, -1,
-            static_cast<f64>(
-                frame_markov_.quantizer().state_of(last_serial_total_ms_)),
-            frame_markov_.predict_next(last_serial_total_ms_));
-      }
+      choice = walk.plan;
+    } else {
+      choice = rt::choose_plan(cost(), fc, deadline_ms_,
+                               config_.max_stripes_per_task, planner_cpus());
     }
   }
-  result.plan = plan;
+  result.plan = choice.plan;
   result.quality_level = quality_index_;
-  app_.set_stripe_plan(plan);
+  result.fits_deadline = result.managed && choice.fits_budget;
+
+  // Reported prediction: the scenario-likely forecast at the applied
+  // quality, under the chosen plan.
+  const rt::QualityLevel& level =
+      rt::quality_ladder()[static_cast<usize>(quality_index_)];
+  std::vector<rt::NodeForecast> likely = forecast(/*reserve_enh_zoom=*/false);
+  if (quality_index_ > 0) likely = rt::degrade_forecast(likely, level);
+  result.predicted_ms = rt::estimate_latency(cost(), likely, result.plan);
+
+  app_.set_stripe_plan(result.plan);
   // Host resource budget: the chosen plan's widest fan-out, capped by this
   // frame's fair share of the pool (pipelining divides the pool among the
   // frames in flight).
-  choice.plan = plan;
   app_.set_instance_budget(
       rt::budget_for_plan(choice, effective_threads(), frames_in_flight));
-  if (obs::enabled()) {
-    obs::global().flight.record(obs::FrEventType::FrameStart, t, -1,
-                                result.predicted_host_ms);
+  if (obs::enabled()) record_frame_start(result, choice.estimated_ms);
+  if (ledger_ != nullptr) {
+    // Warm-up frames settle actual-only rows: the ledger scores the
+    // forecasts the plans were built on.
+    std::vector<rt::NodeForecast> planned;
+    if (result.managed) {
+      planned = quality_index_ > 0 ? rt::degrade_forecast(fc, level) : fc;
+    }
+    ledger_predict(t, planned, result);
   }
-  if (ledger_ != nullptr) ledger_predict(t, fc, result);
-  return ewma_total;
+}
+
+void Executor::record_frame_start(const ExecutedFrame& f, f64 planned_ms) {
+  obs::FlightRecorder& flight = obs::global().flight;
+  // The simulated timeline rides in the payload: b = the frame's start on
+  // the simulated clock.
+  flight.record(obs::FrEventType::FrameStart, f.frame, -1, f.predicted_ms,
+                simulated() ? sim_clock_ms_ : 0.0);
+  if (f.managed) {
+    flight.record(obs::FrEventType::PlanChoice, f.frame, -1,
+                  std::accumulate(f.plan.begin(), f.plan.end(), 0.0),
+                  planned_ms);
+  }
 }
 
 void Executor::ledger_predict(i32 t, std::span<const rt::NodeForecast> fc,
@@ -356,12 +314,11 @@ void Executor::ledger_predict(i32 t, std::span<const rt::NodeForecast> fc,
     if (!f.active || f.serial_ms <= 0.0) continue;
     obs::LedgerSample s;
     s.node = narrow<i32>(node);
-    // CPU: the Markov-scaled serial forecast, striped through the chosen
-    // plan — the time this node is actually expected to take.
+    // CPU: the serial forecast striped through the chosen plan — the time
+    // this node is actually expected to take.
     f64 cpu_ms = f.serial_ms;
-    const i32 stripes = result.plan[node];
-    if (f.data_parallel && stripes > 1) {
-      cpu_ms = plat::striped_ms_from_serial(config_.host_cost, cpu_ms, stripes);
+    if (f.data_parallel) {
+      cpu_ms = plat::striped_ms_from_serial(cost(), cpu_ms, result.plan[node]);
     }
     s.mask = obs::ledger_bit(obs::LedgerResource::CpuMs);
     s.values[static_cast<usize>(obs::LedgerResource::CpuMs)] = cpu_ms;
@@ -393,7 +350,8 @@ void Executor::ledger_settle(const ExecutedFrame& result,
     obs::LedgerSample s;
     s.node = exec.node;
     s.mask = obs::kLedgerAllResources;
-    s.values[static_cast<usize>(obs::LedgerResource::CpuMs)] = exec.host_ms;
+    s.values[static_cast<usize>(obs::LedgerResource::CpuMs)] =
+        result.task_ms[node];
     s.values[static_cast<usize>(obs::LedgerResource::MemBytes)] =
         static_cast<f64>(exec.work.footprint_bytes());
     s.values[static_cast<usize>(obs::LedgerResource::CacheBusMb)] =
@@ -408,11 +366,10 @@ void Executor::ledger_settle(const ExecutedFrame& result,
     }
   }
   const std::vector<obs::LedgerRow> rows = ledger_->settle_frame(
-      result.frame, record.scenario, result.measured_host_ms, actuals);
+      result.frame, record.scenario, result.measured_ms, actuals);
   // Per-node drift streams: the settled CPU rows feed one DriftMonitor
-  // stream per node.  Alerts are counted and flight-recorded but never
-  // force a retrain — a single node drifting is an attribution signal, not
-  // evidence against the frame-level predictor.
+  // stream per node.  Alerts are counted and flight-recorded — a single
+  // node drifting is an attribution signal for the post-mortem.
   if (drift_ == nullptr) return;
   for (const obs::LedgerRow& row : rows) {
     if (!row.has_pred(obs::LedgerResource::CpuMs) ||
@@ -436,72 +393,81 @@ void Executor::ledger_settle(const ExecutedFrame& result,
 
 ExecutedFrame Executor::step(i32 t) {
   ExecutedFrame result;
-  const f64 ewma_total = plan_frame(t, /*frames_in_flight=*/1, result);
-
+  plan_frame(t, /*frames_in_flight=*/1, result);
   graph::FrameRecord record = app_.process_frame(t);
-  // The frame's latency is the graph execution itself — the sum of the
-  // measured task walls.  Rendering the synthetic input (process_frame's
-  // other cost) stands in for the camera and is not pipeline work, so it
-  // must not contaminate the deadline or the predictor feedback.
-  for (const graph::TaskExecution& exec : record.tasks) {
-    if (exec.executed) result.measured_host_ms += exec.host_ms;
-  }
   // Fault injection: a co-scheduled interferer steals real wall-clock time
   // from the frame.  The tasks' own measurements are untouched (the
-  // predictors did not cause the spike and must not be trained on it), but
+  // predictor did not cause the spike and must not be trained on it), but
   // the frame's latency — what the deadline is judged against — inflates.
   const LoadSpike& spike = config_.load_spike;
+  f64 spike_ms = 0.0;
   if (spike.start_frame >= 0 && spike.busy_ms > 0.0 &&
       t >= spike.start_frame && t < spike.start_frame + spike.frames) {
     const auto until = std::chrono::steady_clock::now() +
                        std::chrono::duration<f64, std::milli>(spike.busy_ms);
     while (std::chrono::steady_clock::now() < until) {
     }
-    result.measured_host_ms += spike.busy_ms;
+    spike_ms = spike.busy_ms;
   }
-  settle_frame(result, record, ewma_total);
+  measure(record, spike_ms, result);
+  settle_frame(result, record);
   return result;
 }
 
+void Executor::measure(const graph::FrameRecord& record, f64 spike_ms,
+                       ExecutedFrame& result) const {
+  // The host latency is the graph execution itself — the sum of the
+  // measured task walls.  Rendering the synthetic input (process_frame's
+  // other cost) stands in for the camera and is not pipeline work, so it
+  // must not contaminate the deadline or the predictor feedback.
+  for (const graph::TaskExecution& exec : record.tasks) {
+    if (!exec.executed) continue;
+    result.measured_host_ms += exec.host_ms;
+    result.task_ms[static_cast<usize>(exec.node)] =
+        simulated() ? exec.simulated_ms : exec.host_ms;
+  }
+  result.measured_host_ms += spike_ms;
+  result.measured_ms =
+      simulated() ? record.latency_ms : result.measured_host_ms;
+}
+
 void Executor::settle_frame(ExecutedFrame& result,
-                            const graph::FrameRecord& record, f64 ewma_total) {
+                            const graph::FrameRecord& record) {
   result.scenario = record.scenario;
 
-  // --- QoS: deadline accounting -------------------------------------------
-  if (deadline_set_ && result.measured_host_ms > deadline_ms_) {
+  // --- QoS: deadline accounting and the output delay line ------------------
+  if (result.managed && result.measured_ms > result.deadline_ms) {
     result.deadline_miss = true;
     if (config_.policy == DeadlinePolicy::Drop) result.dropped = true;
   }
-
-  if (obs::enabled()) {
-    obs::FlightRecorder& flight = obs::global().flight;
-    // Per-node predicted-vs-measured, while node_estimate() still returns
-    // the pre-frame filter state (feed_back below updates it).
-    for (const graph::TaskExecution& exec : record.tasks) {
-      if (!exec.executed) continue;
-      flight.record(obs::FrEventType::NodeTiming, result.frame, exec.node,
-                    node_estimate(exec.node), exec.host_ms);
-    }
-    flight.record(obs::FrEventType::FrameEnd, result.frame, -1,
-                  result.measured_host_ms, deadline_ms_);
-    if (result.deadline_miss) {
-      flight.record(obs::FrEventType::DeadlineMiss, result.frame, -1,
-                    result.measured_host_ms, deadline_ms_);
-    }
-  }
+  result.output_ms = simulated() && result.managed
+                         ? std::max(result.measured_ms, result.deadline_ms)
+                         : result.measured_ms;
 
   if (ledger_ != nullptr) ledger_settle(result, record);
 
-  // --- feedback + warm-up bookkeeping -------------------------------------
-  const f64 serial_total = feed_back(record, result.plan);
-  if (!frame_markov_.fitted()) {
-    warmup_serial_totals_.push_back(serial_total);
-    if (narrow<i32>(warmup_serial_totals_.size()) >= config_.warmup_frames) {
-      frame_markov_.fit(warmup_serial_totals_);
+  // --- feedback: serial, full-quality task times ---------------------------
+  const rt::QualityLevel& level =
+      rt::quality_ladder()[static_cast<usize>(result.quality_level)];
+  std::array<f64, app::kNodeCount> serial_ms{};
+  for (const graph::TaskExecution& exec : record.tasks) {
+    if (!exec.executed) continue;
+    const auto node = static_cast<usize>(exec.node);
+    f64 ms = result.task_ms[node];
+    if (app::node_data_parallel(exec.node)) {
+      ms = plat::serial_ms_from_striped(cost(), ms, result.plan[node]);
     }
+    if (exec.node == app::kMkxFull || exec.node == app::kMkxRoi) {
+      ms /= level.mkx_cost_factor();
+    } else if (exec.node == app::kZoom) {
+      ms /= level.zoom_cost_factor();
+    }
+    serial_ms[node] = ms;
   }
+  predictor_.observe(record, serial_ms);
+
   if (!deadline_set_) {
-    warmup_measured_ms_.push_back(result.measured_host_ms);
+    warmup_measured_ms_.push_back(result.measured_ms);
     if (narrow<i32>(warmup_measured_ms_.size()) >= config_.warmup_frames) {
       deadline_ms_ = mean(warmup_measured_ms_) * config_.deadline_headroom;
       deadline_set_ = true;
@@ -509,16 +475,9 @@ void Executor::settle_frame(ExecutedFrame& result,
   }
 
   result.repartitioned = result.managed && result.plan != prev_plan_;
-  if (result.repartitioned && obs::enabled()) {
-    obs::global().flight.record(
-        obs::FrEventType::Repartition, result.frame, -1,
-        std::accumulate(result.plan.begin(), result.plan.end(), 0.0),
-        std::accumulate(prev_plan_.begin(), prev_plan_.end(), 0.0));
-  }
-  prev_plan_ = result.plan;
 
   ++stats_.frames;
-  measured_sum_ms_ += result.measured_host_ms;
+  measured_sum_ms_ += result.measured_ms;
   stats_.mean_measured_ms = measured_sum_ms_ / stats_.frames;
   if (result.managed) ++stats_.managed_frames;
   if (result.deadline_miss) ++stats_.deadline_misses;
@@ -526,60 +485,102 @@ void Executor::settle_frame(ExecutedFrame& result,
   if (result.quality_level > 0) ++stats_.degraded_frames;
   if (result.repartitioned) ++stats_.repartitions;
 
-  if (obs::enabled()) record_frame_observability(result);
+  if (obs::enabled()) record_frame_observability(result, record);
+  prev_plan_ = result.plan;
   last_frame_ = result;
-  if (config_.diagnostics.enabled) {
-    run_diagnostics(result, ewma_total, serial_total);
-  }
-
-  {
-    // Refresh the off-thread status mirror (status_snapshot()); frame
-    // counters and the deadline are otherwise stepping-thread-only state.
-    common::MutexLock lock(status_mutex_);
-    status_.stats = stats_;
-    status_.deadline_ms = deadline_set_ ? deadline_ms_ : 0.0;
-  }
+  if (config_.diagnostics.enabled) run_diagnostics(result);
 }
 
-void Executor::record_frame_observability(const ExecutedFrame& f) {
+void Executor::record_frame_observability(const ExecutedFrame& f,
+                                          const graph::FrameRecord& record) {
   obs::ObsContext& ctx = obs::global();
-  obs::MetricsRegistry& m = ctx.metrics;
+  obs::FlightRecorder& flight = ctx.flight;
+  flight.record(obs::FrEventType::FrameEnd, f.frame, -1, f.measured_ms,
+                f.managed ? f.deadline_ms : 0.0);
+  if (f.deadline_miss) {
+    flight.record(obs::FrEventType::DeadlineMiss, f.frame, -1, f.measured_ms,
+                  f.deadline_ms);
+  }
+  if (f.repartitioned) {
+    flight.record(obs::FrEventType::Repartition, f.frame, -1,
+                  std::accumulate(f.plan.begin(), f.plan.end(), 0.0),
+                  std::accumulate(prev_plan_.begin(), prev_plan_.end(), 0.0));
+  }
+  // Execution lanes of the frame: a data-parallel task striped s-ways
+  // occupies s CPUs.  On the simulated source the executed tasks run back
+  // to back from the frame's simulated start.
+  i32 total_stripes = 0;
+  for (const graph::TaskExecution& exec : record.tasks) {
+    if (!exec.executed) continue;
+    const i32 stripes = app::node_data_parallel(exec.node)
+                            ? f.plan[static_cast<usize>(exec.node)]
+                            : 1;
+    total_stripes += stripes;
+    if (simulated()) {
+      flight.record(obs::FrEventType::SimTask, f.frame, exec.node,
+                    exec.simulated_ms, static_cast<f64>(stripes));
+    }
+  }
 
-  m.counter("tripleC_exec_frames_total", "Frames executed on the host").add();
+  obs::MetricsRegistry& m = ctx.metrics;
+  m.counter("tripleC_frames_total", "Frames run by the Triple-C loop").add();
   if (deadline_set_) {
-    m.gauge("tripleC_exec_deadline_ms", "Active per-frame host deadline")
+    m.gauge("tripleC_deadline_ms", "Active per-frame deadline")
         .set(deadline_ms_);
   }
   // Register the families unconditionally so each exists from frame one.
   obs::Counter& misses =
-      m.counter("tripleC_exec_deadline_miss_total",
-                "Frames whose measured host latency exceeded the deadline");
+      m.counter("tripleC_deadline_miss_total",
+                "Managed frames whose measured latency exceeded the deadline");
   if (f.deadline_miss) misses.add();
   obs::Counter& drops = m.counter(
-      "tripleC_exec_dropped_total",
+      "tripleC_dropped_total",
       "Late frames removed from the display stream (Drop policy)");
   if (f.dropped) drops.add();
   obs::Counter& reparts =
-      m.counter("tripleC_exec_repartitions_total",
+      m.counter("tripleC_repartitions_total",
                 "Managed frames whose stripe plan changed (live repartition)");
   if (f.repartitioned) reparts.add();
-  m.gauge("tripleC_exec_quality_level",
-          "QoS quality level applied by the executor")
+  m.gauge("tripleC_qos_level", "QoS quality level applied this frame")
       .set(static_cast<f64>(f.quality_level));
 
   const std::vector<f64> bounds = obs::latency_buckets_ms();
-  m.histogram("tripleC_exec_frame_host_ms",
-              "Measured host latency per executed frame", bounds)
-      .record(f.measured_host_ms);
-  if (f.managed) {
-    m.histogram("tripleC_exec_frame_predicted_ms",
-                "Predicted host latency of the chosen plan", bounds)
-        .record(f.predicted_host_ms);
+  m.histogram("tripleC_frame_predicted_ms", "Triple-C predicted frame latency",
+              bounds)
+      .record(f.predicted_ms);
+  m.histogram("tripleC_frame_measured_ms",
+              "Measured frame latency on the loop's clock", bounds)
+      .record(f.measured_ms);
+  // Same skip rule and formula as model::evaluate_accuracy so the metric is
+  // directly comparable with AccuracyReport::mape_pct.
+  f64 error_pct = 0.0;
+  obs::Histogram& error_hist =
+      m.histogram("tripleC_frame_prediction_error_pct",
+                  "Per-frame |predicted - measured| / measured in percent",
+                  obs::error_pct_buckets());
+  if (const std::optional<f64> err =
+          relative_error_pct(f.predicted_ms, f.measured_ms)) {
+    error_pct = std::fabs(*err);
+    error_hist.record(error_pct);
+  }
+  m.histogram("tripleC_frame_stripes",
+              "Total execution lanes (stripes) of the frame's plan",
+              obs::small_count_buckets())
+      .record(static_cast<f64>(total_stripes));
+
+  if (simulated()) {
+    m.histogram("tripleC_frame_output_ms",
+                "Output latency after the delay line", bounds)
+        .record(f.output_ms);
+    ctx.frames.add(obs::FrameSample{
+        f.frame, f.scenario, f.quality_level, total_stripes,
+        f.predicted_ms, f.measured_ms, f.output_ms, deadline_ms_,
+        f.fits_deadline, error_pct});
+    sim_clock_ms_ += f.output_ms;
   }
 }
 
-void Executor::run_diagnostics(const ExecutedFrame& f, f64 ewma_total,
-                               f64 serial_total) {
+void Executor::run_diagnostics(const ExecutedFrame& f) {
   // The SLO monitor is born the moment the deadline is known (its
   // thresholds are deadline-relative).
   if (slo_ == nullptr && deadline_set_) {
@@ -607,36 +608,25 @@ void Executor::run_diagnostics(const ExecutedFrame& f, f64 ewma_total,
         std::move(specs), obs::enabled() ? &obs::global().metrics : nullptr);
   }
 
-  // --- drift: score both predictor variants --------------------------------
-  std::vector<obs::DriftAlert> alerts;
-  if (f.managed && config_.adapt) {
-    // EWMA-only vs Markov-corrected accuracy, both in the units the
-    // respective predictor emits: serial-equivalent for the raw EWMA sum,
-    // plan-estimated host latency for the corrected forecast.
-    if (auto a = drift_->observe("ewma_only", f.frame, ewma_total,
-                                 serial_total)) {
-      alerts.push_back(*a);
-    }
-    if (auto a = drift_->observe("markov_corrected", f.frame,
-                                 f.predicted_host_ms, f.measured_host_ms)) {
-      alerts.push_back(*a);
-    }
+  // --- drift: predicted vs measured frame latency --------------------------
+  std::optional<obs::DriftAlert> alert;
+  if (f.managed) {
+    alert = drift_->observe(kFrameDriftStream, f.frame, f.predicted_ms,
+                            f.measured_ms);
   }
-  for (const obs::DriftAlert& a : alerts) {
+  if (alert.has_value()) {
     ++stats_.drift_alerts;
     if (obs::enabled()) {
-      obs::global().flight.record(obs::FrEventType::DriftAlert, a.frame,
-                                  drift_->stream_index(a.stream), a.statistic,
-                                  a.threshold);
+      obs::global().flight.record(obs::FrEventType::DriftAlert, alert->frame,
+                                  drift_->stream_index(alert->stream),
+                                  alert->statistic, alert->threshold);
     }
-    if (config_.diagnostics.retrain_on_drift) force_retrain(a.frame);
   }
 
   // --- SLOs ---------------------------------------------------------------
   std::vector<obs::SloBreach> breaches;
   if (slo_ != nullptr && f.managed) {
-    breaches =
-        slo_->observe_frame(f.frame, f.measured_host_ms, f.deadline_miss);
+    breaches = slo_->observe_frame(f.frame, f.measured_ms, f.deadline_miss);
     for (usize i = 0; i < breaches.size(); ++i) {
       ++stats_.slo_breaches;
       if (obs::enabled()) {
@@ -656,8 +646,8 @@ void Executor::run_diagnostics(const ExecutedFrame& f, f64 ewma_total,
   } else if (!breaches.empty()) {
     reason = "slo_breach:" + breaches.front().slo;
     trigger_breach = &breaches.front();
-  } else if (!alerts.empty()) {
-    reason = "drift:" + alerts.front().stream;
+  } else if (alert.has_value()) {
+    reason = "drift:" + alert->stream;
   }
   if (!reason.empty()) {
     const std::string path =
@@ -669,21 +659,14 @@ void Executor::run_diagnostics(const ExecutedFrame& f, f64 ewma_total,
 
 obs::PredictorStateSummary Executor::predictor_summary() const {
   obs::PredictorStateSummary s;
+  const std::vector<rt::NodeForecast> fc = forecast();
   for (i32 node = 0; node < app::kNodeCount; ++node) {
-    const auto& f = node_ewma_[static_cast<usize>(node)];
-    s.nodes.push_back({obs::global().node_name(node), f.value(), f.primed()});
+    const rt::NodeForecast& f = fc[static_cast<usize>(node)];
+    s.nodes.push_back({obs::global().node_name(node), f.serial_ms, f.active});
   }
-  s.markov_fitted = frame_markov_.fitted();
-  s.markov_states = frame_markov_.states();
-  s.last_serial_total_ms = last_serial_total_ms_;
-  s.markov_predicted_next_ms =
-      frame_markov_.fitted() ? frame_markov_.predict_next(last_serial_total_ms_)
-                             : 0.0;
   if (drift_ != nullptr) {
-    for (const char* stream : {"ewma_only", "markov_corrected"}) {
-      s.drift_errors_pct.emplace_back(stream,
-                                      drift_->smoothed_error_pct(stream));
-    }
+    s.drift_errors_pct.emplace_back(
+        kFrameDriftStream, drift_->smoothed_error_pct(kFrameDriftStream));
   }
   return s;
 }
@@ -695,18 +678,17 @@ obs::PostmortemContext Executor::postmortem_context(
   ctx.reason = reason;
   ctx.frame = f.frame;
   ctx.deadline_ms = deadline_ms_;
-  ctx.predicted_ms = f.predicted_host_ms;
-  ctx.measured_ms = f.measured_host_ms;
+  ctx.predicted_ms = f.predicted_ms;
+  ctx.measured_ms = f.measured_ms;
   ctx.plan = rt::plan_to_string(f.plan);
   ctx.quality_level = f.quality_level;
   ctx.scenario = f.scenario;
   ctx.predictors = predictor_summary();
   if (ledger_ != nullptr) {
-    ctx.ledger_rows = ledger_->recent(config_.postmortem_ledger_rows);
+    ctx.ledger_rows = ledger_->recent(kPostmortemLedgerRows);
   }
-  ctx.extra.emplace_back("policy", config_.policy == DeadlinePolicy::Drop
-                                       ? "drop"
-                                       : "degrade");
+  ctx.extra.emplace_back("policy", std::string(to_string(config_.policy)));
+  ctx.extra.emplace_back("source", simulated() ? "simulated" : "host");
   ctx.extra.emplace_back("workers", std::to_string(pool_->thread_count()));
   // SLO-breach context: which objective fired, at what value, against which
   // threshold — plus the monitor's window aggregates, so a bundle is
@@ -738,71 +720,23 @@ std::string Executor::write_postmortem(const std::string& reason) {
   return path;
 }
 
-void Executor::force_retrain(i32 frame) {
-  frame_markov_ = model::MarkovChain();
-  warmup_serial_totals_.clear();
-  ++stats_.retrains;
-  if (obs::enabled()) {
-    obs::global().flight.record(obs::FrEventType::Retrain, frame, -1,
-                                static_cast<f64>(frame));
-  }
-}
-
-void Executor::bias_correct(std::vector<rt::NodeForecast>& fc) const {
-  for (usize node = 0; node < fc.size(); ++node) {
-    rt::NodeForecast& f = fc[node];
-    if (!f.active || f.serial_ms <= 0.0) continue;
-    const obs::CalibrationWindow::Stats s = ledger_->node_calibration(
-        narrow<i32>(node), obs::LedgerResource::CpuMs);
-    if (s.samples < config_.bias_min_samples) continue;
-    // Positive bias means the recent predictions over-shot the measurements,
-    // so dividing by (1 + bias) recentres the forecast.  The clamp keeps one
-    // pathological window from swinging the plan; a near-zero denominator
-    // (window full of pred≈0 rows) is skipped outright.
-    const f64 denom = 1.0 + s.bias_pct / 100.0;
-    if (denom < 0.05) continue;
-    f.serial_ms *= std::clamp(1.0 / denom, 1.0 - config_.bias_correction_clamp,
-                              1.0 + config_.bias_correction_clamp);
-  }
-}
-
 PredictorSnapshot Executor::snapshot_predictors() const {
   PredictorSnapshot snap;
+  snap.predictor = predictor_;
   for (usize node = 0; node < app::kNodeCount; ++node) {
-    const model::EwmaFilter& f = node_ewma_[node];
-    snap.node_primed[node] = f.primed();
-    snap.node_serial_ms[node] = f.value();
     // Bus demand estimate: summed auxiliary filters (cache/memory/io MB per
     // frame).  Conservative — sums every node that ever ran, not just the
     // nodes active in the current scenario.
     for (i32 r = 2; r < obs::kLedgerResourceCount; ++r) {
-      const model::EwmaFilter& aux = node_aux_ewma_[node][static_cast<usize>(r - 1)];
-      if (aux.primed()) snap.bus_mb_per_frame[static_cast<usize>(r - 2)] += aux.value();
+      const model::EwmaFilter& aux =
+          node_aux_ewma_[node][static_cast<usize>(r - 1)];
+      if (aux.primed()) {
+        snap.bus_mb_per_frame[static_cast<usize>(r - 2)] += aux.value();
+      }
     }
   }
-  snap.frame_markov = frame_markov_;
-  snap.last_serial_total_ms = last_serial_total_ms_;
   snap.trained_frames = static_cast<u64>(std::max(0, stats_.frames));
   return snap;
-}
-
-void Executor::warm_start(const PredictorSnapshot& snap) {
-  if (!snap.trained()) return;
-  for (usize node = 0; node < app::kNodeCount; ++node) {
-    if (!snap.node_primed[node]) continue;
-    // A fresh filter primed with the snapshot level: the stream then adapts
-    // from the donor's estimate instead of from zero.
-    model::EwmaFilter f(config_.ewma_alpha);
-    f.update(snap.node_serial_ms[node]);
-    node_ewma_[node] = f;
-  }
-  if (snap.frame_markov.fitted()) {
-    frame_markov_ = snap.frame_markov;
-    last_serial_total_ms_ = snap.last_serial_total_ms;
-    // The chain is already fitted — settle_frame's warm-up fitting is
-    // skipped, so the training series must stay empty.
-    warmup_serial_totals_.clear();
-  }
 }
 
 std::vector<ExecutedFrame> Executor::run(i32 n) {
@@ -814,16 +748,12 @@ std::vector<ExecutedFrame> Executor::run(i32 n) {
 
 std::vector<ExecutedFrame> Executor::run_pipelined(i32 n,
                                                    i32 frames_in_flight) {
-  struct Pending {
-    ExecutedFrame result;
-    f64 ewma_total = 0.0;
-  };
   // One mutex serializes plan_frame (front-stage thread) against
   // settle_frame (back-stage thread): both touch the predictor state.
   // Admissions and retires are each in frame order, so the pending frames
   // form a FIFO.
   common::Mutex mutex;
-  std::deque<Pending> pending;
+  std::deque<ExecutedFrame> pending;
   std::vector<ExecutedFrame> frames(static_cast<usize>(std::max(0, n)));
 
   FramePipelineConfig pc;
@@ -832,19 +762,17 @@ std::vector<ExecutedFrame> Executor::run_pipelined(i32 n,
   pc.collect_records = false;
   pc.on_admit = [&](i32 t) {
     common::MutexLock lock(mutex);
-    Pending p;
-    p.ewma_total = plan_frame(t, frames_in_flight, p.result);
-    pending.push_back(std::move(p));
+    ExecutedFrame f;
+    plan_frame(t, frames_in_flight, f);
+    pending.push_back(f);
   };
   pc.on_retire = [&](const graph::FrameRecord& record) {
     common::MutexLock lock(mutex);
-    Pending p = std::move(pending.front());
+    ExecutedFrame f = pending.front();
     pending.pop_front();
-    for (const graph::TaskExecution& exec : record.tasks) {
-      if (exec.executed) p.result.measured_host_ms += exec.host_ms;
-    }
-    settle_frame(p.result, record, p.ewma_total);
-    frames[static_cast<usize>(record.frame)] = p.result;
+    measure(record, /*spike_ms=*/0.0, f);
+    settle_frame(f, record);
+    frames[static_cast<usize>(record.frame)] = f;
   };
 
   FramePipeline pipeline(app_, std::move(pc));

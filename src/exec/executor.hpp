@@ -1,33 +1,43 @@
-// Closed-loop concurrent executor: predict → execute → measure → adapt.
+// The Triple-C control loop (paper §6): predict → plan → run → feed back.
 //
-// The runtime manager (runtime/manager) drives the *simulated* platform; the
-// Executor drives the real host.  Every frame it
+// Every frame the executor
 //
-//   1. forecasts each active task's serial host time from per-node EWMA
-//      filters (Eq. 1), corrected by a frame-level Markov chain (Eq. 2)
-//      over serial-equivalent frame totals (short-term fluctuation),
-//   2. chooses a stripe plan with rt::choose_plan so the predicted host
-//      latency fits the frame deadline — repartitioning live whenever the
-//      prediction drifts across the plan boundary,
-//   3. executes the frame for real: StentBoostApp stripes its row kernels
-//      over the executor-owned plat::ThreadPool per the plan,
-//   4. feeds the measured host times (FlowGraph stamps TaskExecution::
-//      host_ms) back into the EWMA filters and the Markov chain, after
-//      normalizing them to serial-equivalent via plat::serial_ms_from_striped
-//      so the predictors stay unbiased under repartitioning.
+//   1. forecasts each active task's serial time with model::GraphPredictor
+//      (node activity from the app's switch state, granularity from the
+//      current ROI; ENH and ZOOM are always reserved when planning),
+//   2. chooses a stripe plan with rt::choose_plan so the forecast fits the
+//      frame deadline — repartitioning live whenever the forecast drifts
+//      across a plan boundary,
+//   3. executes the frame: StentBoostApp stripes its row kernels over the
+//      plat::ThreadPool per the plan,
+//   4. normalises the measured task times back to serial, full-quality time
+//      (de-striping through the source's stripe law, dividing out the QoS
+//      cost factors) and feeds them to the predictor.
 //
-// Deadline QoS: a frame that measures past its deadline is counted as a
-// miss; DeadlinePolicy::Drop removes it from the display stream,
+// The measurement source is fixed at construction (ExecutorConfig::source):
+//
+//   Host      — task walls stamped by FlowGraph (TaskExecution::host_ms), the
+//               host stripe law (ExecutorConfig::host_cost) and the pool
+//               share (set_pool_share) as the planner's CPU count;
+//   Simulated — the record's simulated latency and task times, the app's
+//               cost parameters and the simulated platform's CPU count.
+//               Managed frames leave through the output delay line
+//               (output = max(measured, deadline)), as in the paper.
+//
+// The predictor is a trained GraphPredictor handed in by the caller (the
+// paper benches train one with the Table 2b kinds, see
+// tripleC/paper_kinds.hpp) or, by default, one EWMA per node learnt online
+// from frame 0.  The first `warmup_frames` frames run serially only to
+// derive the deadline (mean * headroom) when none is configured.
+//
+// Deadline QoS: a managed frame that measures past its deadline is counted
+// as a miss; DeadlinePolicy::Drop removes it from the display stream,
 // DeadlinePolicy::Degrade walks the rt::quality_ladder() down until the
-// forecast fits again (and back up after `qos_recover_after` consecutive
-// frames that would fit one level better).
+// forecast fits again (and back up after a streak of frames that would fit
+// one level better).
 //
-// The first `warmup_frames` frames run serially to prime the filters, fit
-// the Markov chain and derive the deadline (mean * headroom) when none is
-// configured — mirroring the paper's initialization phase.
-//
-// The graph is validated by analysis::Analyzer before the first frame
-// (Strict policy throws analysis::AnalysisError from the constructor).
+// The graph and predictor are linted by analysis::Analyzer before the first
+// frame (Strict policy throws analysis::AnalysisError from the constructor).
 #pragma once
 
 #include <array>
@@ -43,12 +53,11 @@
 #include "obs/drift.hpp"
 #include "obs/ledger.hpp"
 #include "obs/postmortem.hpp"
-#include "obs/telemetry_server.hpp"
 #include "platform/thread_pool.hpp"
 #include "runtime/partition.hpp"
 #include "runtime/qos.hpp"
 #include "tripleC/ewma.hpp"
-#include "tripleC/markov.hpp"
+#include "tripleC/graph_predictor.hpp"
 
 namespace tc::exec {
 
@@ -61,8 +70,9 @@ namespace tc::exec {
 /// Fault injection: a synthetic co-scheduled interferer.  For `frames`
 /// frames starting at `start_frame` the executor busy-spins `busy_ms` of
 /// wall-clock time per frame and charges it to the frame's measured host
-/// latency — a deterministic load spike the predictors did not see coming,
-/// used to demo/exercise deadline misses, drift alarms and post-mortems.
+/// latency (the deadline's measure on the host source) — a deterministic
+/// load spike the predictor did not see coming, used to demo/exercise
+/// deadline misses, drift alarms and post-mortems.
 struct LoadSpike {
   i32 start_frame = -1;  ///< < 0 disables the injection
   i32 frames = 0;
@@ -73,10 +83,9 @@ struct LoadSpike {
 /// Disabled by default — the executor then carries zero monitor state.
 struct DiagnosticsConfig {
   bool enabled = false;
-  /// Per-predictor drift detection ("ewma_only" and "markov_corrected"
-  /// streams); alerts force a predictor re-training when retrain_on_drift.
+  /// Drift detection on predicted vs measured frame latency (stream
+  /// "frame_latency") and, with the ledger on, per-node CPU ("node:<name>").
   obs::DriftConfig drift;
-  bool retrain_on_drift = true;
   /// SLO thresholds, derived from the active deadline once it is known:
   /// miss-rate over the window, p99 <= deadline * slo_p99_factor, and
   /// p99 - p50 jitter <= deadline * slo_jitter_factor.
@@ -90,94 +99,70 @@ struct DiagnosticsConfig {
   obs::PostmortemConfig postmortem;
 };
 
-/// Portable snapshot of a trained predictor stack: the per-node EWMA levels
-/// (Eq. 1) plus the frame-level Markov chain (Eq. 2) and its state.  The
-/// serving layer (serve::PredictorRegistry) publishes one per scenario class
-/// at stream retire and clones it into newly admitted same-class streams, so
-/// they start calibrated instead of paying the cold-start warm-up
-/// (Jung/Oh/Ha's mode-transition-delay argument at fleet scale).
+/// Portable snapshot of a trained predictor: the loop's GraphPredictor plus
+/// the bus demand the admission controller prices.  The serving layer
+/// (serve::PredictorRegistry) publishes one per scenario class at stream
+/// retire and prices newly submitted same-class streams from it, without
+/// running a probe.  The new stream's own loop still learns from frame 0:
+/// one EWMA per node is calibrated by the stream's first frame, while the
+/// donor's end-of-sequence levels mispredict a fresh stream's early frames.
 struct PredictorSnapshot {
-  std::array<f64, app::kNodeCount> node_serial_ms{};
-  std::array<bool, app::kNodeCount> node_primed{};
-  model::MarkovChain frame_markov;
-  /// Markov conditioning state at snapshot time (last serial-equivalent
-  /// frame total).
-  f64 last_serial_total_ms = 0.0;
+  model::GraphPredictor predictor{app::kNodeCount, app::kSwitchCount};
   /// Mean per-frame traffic per Fig.-4 bus class (cache / memory / I/O MB,
   /// summed node auxiliary filters) — the admission controller's bus-demand
   /// estimate.
   std::array<f64, 3> bus_mb_per_frame{};
-  /// Frames the stack was trained on (0 = empty/cold snapshot).
+  /// Frames the predictor was trained on (0 = empty/cold snapshot).
   u64 trained_frames = 0;
 
   [[nodiscard]] bool trained() const { return trained_frames > 0; }
-  /// Serial-equivalent frame-cost estimate of the stack: the Markov chain's
-  /// unconditional mean when fitted, else the sum of the primed filters.
-  [[nodiscard]] f64 mean_frame_ms() const;
+  /// Serial-equivalent forecast of a typical frame: the nodes of the
+  /// scenario the predictor expects next, each at its current prediction.
+  [[nodiscard]] std::vector<rt::NodeForecast> forecast() const;
 };
 
+/// Where the loop's frame and task times come from (see the header comment).
+enum class MeasurementSource { Host, Simulated };
+
 struct ExecutorConfig {
-  /// Worker threads of the executor-owned pool (0 = hardware concurrency).
+  MeasurementSource source = MeasurementSource::Host;
+  /// Worker threads of the executor-owned pool (0 = the cores in the
+  /// process affinity mask).
   i32 worker_threads = 4;
   /// External pool shared with other executors (the serving layer runs N
   /// streams on one pool).  Non-null skips spawning an owned pool —
   /// worker_threads is then ignored; the pool must outlive the executor.
   plat::ThreadPool* shared_pool = nullptr;
   /// Fixed per-frame deadline; <= 0 derives it from the warm-up phase as
-  /// mean measured host latency * deadline_headroom.
+  /// mean measured latency * deadline_headroom.
   f64 deadline_ms = 0.0;
   f64 deadline_headroom = 1.30;
   i32 warmup_frames = 8;
   DeadlinePolicy policy = DeadlinePolicy::Drop;
   i32 max_stripes_per_task = 4;
-  /// Live repartitioning: when false, managed frames keep the serial plan
-  /// (measure-only mode, useful for baselines).
-  bool adapt = true;
-  /// EWMA smoothing factor of the per-node host-time filters.
-  f64 ewma_alpha = 0.3;
-  /// Host stripe-overhead parameters (see host_cost_params()).
+  /// Host stripe-overhead parameters (see host_cost_params()); the
+  /// simulated source uses the app's cost parameters instead.
   plat::CostParams host_cost = host_cost_params();
-  /// Run the triplec-lint static passes over the graph and platform before
-  /// the first frame.
+  /// Run the triplec-lint static passes over the graph, predictor and
+  /// platform before the first frame.
   bool validate_at_startup = true;
   analysis::Policy validation_policy = analysis::Policy::Strict;
-  /// Run the triplec-audit schedulability proof before the first frame: a
-  /// throwaway copy of the application is simulated for
-  /// audit_training_frames to train a GraphPredictor and capture memory
-  /// rows, then all scenarios × the runtime plan search space are checked
-  /// (deadline feasibility, per-bus budgets, transition pricing).  Strict
-  /// audit_policy refuses graphs with infeasible reachable scenarios.
+  /// Run the triplec-audit schedulability proof before the first frame over
+  /// all scenarios × the runtime plan search space (deadline feasibility,
+  /// per-bus budgets, transition pricing), priced by the loop's predictor
+  /// when it is trained, else by one trained on a throwaway simulated copy
+  /// of the application.  Strict audit_policy refuses graphs with
+  /// infeasible reachable scenarios.
   bool audit_at_startup = false;
   analysis::Policy audit_policy = analysis::Policy::Strict;
-  i32 audit_training_frames = 48;
   analysis::audit::AuditOptions audit_options;
-  /// Degrade policy: lift one quality level after this many consecutive
-  /// frames whose forecast would fit at the better level.
-  i32 qos_recover_after = 4;
   /// Drift/SLO monitoring + post-mortem capture.
   DiagnosticsConfig diagnostics;
   /// Prediction ledger (predicted-vs-actual resource attribution per frame
   /// and node; see obs/ledger.hpp).  Off by default.
   obs::LedgerConfig ledger;
-  /// Close the calibration loop: divide each node's EWMA forecast by the
-  /// ledger's rolling bias gauge for that node (1 + bias/100), so a
-  /// systematically over- or under-predicting node is recentred before the
-  /// plan is chosen.  Requires ledger.enabled; A/B-toggled by
-  /// `bench_executor --ledger`.
-  bool ledger_bias_correction = false;
-  /// Calibration-window samples a node needs before it is corrected.
-  u64 bias_min_samples = 8;
-  /// Correction clamp: the per-node factor stays in [1-c, 1+c] so one
-  /// pathological window cannot swing the plan.
-  f64 bias_correction_clamp = 0.25;
-  /// Ledger rows embedded in each post-mortem bundle (most recent first).
-  usize postmortem_ledger_rows = 32;
   /// Synthetic interference (see LoadSpike); off by default.
   LoadSpike load_spike;
-  /// In-process HTTP ops endpoint for a standalone executor (off by
-  /// default; the serving layer wires its own — see serve::ServeConfig).
-  /// Readiness flips once the validation/audit startup gates have passed.
-  obs::TelemetryConfig telemetry;
 };
 
 /// Outcome of one executed frame.
@@ -185,14 +170,27 @@ struct ExecutedFrame {
   i32 frame = -1;
   graph::ScenarioId scenario = 0;
   app::StripePlan plan = app::serial_plan();
-  /// Predicted host latency of the chosen plan (0 during warm-up).
-  f64 predicted_host_ms = 0.0;
-  /// Measured host latency of the frame's graph execution: the sum of the
-  /// executed tasks' wall-clock times (input rendering excluded).
+  /// Predicted latency of the chosen plan on the source's clock (the
+  /// scenario-likely forecast at the applied quality level).
+  f64 predicted_ms = 0.0;
+  /// Measured latency on the source's clock: measured_host_ms on the host,
+  /// the record's simulated latency on the simulated source.
+  f64 measured_ms = 0.0;
+  /// Latency at which the frame leaves the pipeline: on the simulated
+  /// source managed frames wait in the output delay line until the
+  /// deadline instant (paper §6: "keep the output latency stable at the
+  /// initialized value"), so only overruns show; otherwise measured_ms.
+  f64 output_ms = 0.0;
+  /// Summed wall-clock time of the executed tasks (input rendering
+  /// excluded) plus any injected load spike.
   f64 measured_host_ms = 0.0;
+  /// Per-node time on the source's clock as executed (0 = not executed).
+  std::array<f64, app::kNodeCount> task_ms{};
   f64 deadline_ms = 0.0;
   /// False for warm-up (serial, deadline not yet set) frames.
   bool managed = false;
+  /// The chosen plan's estimate fits the deadline.
+  bool fits_deadline = false;
   bool deadline_miss = false;
   /// DeadlinePolicy::Drop removed this frame from the display stream.
   bool dropped = false;
@@ -213,16 +211,19 @@ struct ExecutorStats {
   // --- diagnostics (all 0 when DiagnosticsConfig::enabled is false) --------
   i32 drift_alerts = 0;
   i32 slo_breaches = 0;
-  i32 retrains = 0;
   i32 postmortems = 0;
 };
 
 class Executor {
  public:
+  /// Learns online from frame 0 with one EWMA per node.
   explicit Executor(app::StentBoostConfig app_config,
                     ExecutorConfig config = {});
+  /// Drives `predictor` (typically trained offline with the Table 2b kinds).
+  Executor(app::StentBoostConfig app_config, ExecutorConfig config,
+           model::GraphPredictor predictor);
 
-  /// Predict, choose a plan, execute frame `t` for real, feed back.
+  /// Predict, choose a plan, execute frame `t`, feed back.
   ExecutedFrame step(i32 t);
 
   /// Run frames [0, n).
@@ -242,6 +243,9 @@ class Executor {
   [[nodiscard]] app::StentBoostApp& app() { return app_; }
   [[nodiscard]] plat::ThreadPool& pool() { return *pool_; }
   [[nodiscard]] const ExecutorConfig& config() const { return config_; }
+  [[nodiscard]] const model::GraphPredictor& predictor() const {
+    return predictor_;
+  }
   [[nodiscard]] const analysis::Report& validation_report() const {
     return validation_report_;
   }
@@ -252,31 +256,16 @@ class Executor {
   }
   [[nodiscard]] ExecutorStats stats() const { return stats_; }
 
-  /// Thread-safe copy of the frame counters and the active deadline —
-  /// stats() itself is only safe from the stepping thread; telemetry
-  /// handlers (and anything else off-thread) read this mirror, refreshed
-  /// once per settled frame.
-  struct StatusSnapshot {
-    ExecutorStats stats;
-    f64 deadline_ms = 0.0;  ///< 0 until the deadline is set
-  };
-  [[nodiscard]] StatusSnapshot status_snapshot() const
-      TC_EXCLUDES(status_mutex_);
-
-  /// Telemetry plane (null unless ExecutorConfig::telemetry.enabled).
-  [[nodiscard]] obs::TelemetryServer* telemetry() { return telemetry_.get(); }
-
-  // --- predictor state (read-only, for tests/examples) ---------------------
-  [[nodiscard]] const model::EwmaFilter& node_filter(i32 node) const {
-    return node_ewma_[static_cast<usize>(node)];
+  /// Serial-equivalent forecast of the coming frame.  `reserve_enh_zoom`
+  /// (planning) always reserves ENH and ZOOM — over-reserving is the safe
+  /// direction for a deadline; false takes the registration outcome from
+  /// the scenario the predictor expects next (the reported prediction).
+  [[nodiscard]] std::vector<rt::NodeForecast> forecast(
+      bool reserve_enh_zoom = true) const;
+  /// The planning forecast under the name the benchmark harness reads.
+  [[nodiscard]] std::vector<rt::NodeForecast> host_forecast() const {
+    return forecast();
   }
-  [[nodiscard]] const model::MarkovChain& frame_markov() const {
-    return frame_markov_;
-  }
-
-  /// Host-time forecast of the coming frame (serial-equivalent per node),
-  /// built from the EWMA filters; exposed for tests/benches.
-  [[nodiscard]] std::vector<rt::NodeForecast> host_forecast() const;
 
   /// Prediction ledger (null when LedgerConfig::enabled is false).
   [[nodiscard]] obs::PredictionLedger* ledger() { return ledger_.get(); }
@@ -291,78 +280,69 @@ class Executor {
     return postmortem_.get();
   }
 
-  /// Snapshot of the predictor stack (EWMA filters, Markov chain, drift
-  /// errors) as embedded in post-mortem bundles.
+  /// Snapshot of the predictor (per-node forecast, drift error) as embedded
+  /// in post-mortem bundles.
   [[nodiscard]] obs::PredictorStateSummary predictor_summary() const;
 
   /// Explicitly capture a post-mortem bundle (reason "manual" unless given);
   /// returns the bundle path or "" when diagnostics/postmortems are off.
   std::string write_postmortem(const std::string& reason = "manual");
 
-  /// Drop the Markov chain and its training series so the next
-  /// `warmup_frames` frames re-fit it — the drift-alert response ("force
-  /// re-training").  EWMA filters keep adapting and are not reset.
-  void force_retrain(i32 frame);
-
-  /// Cap the pool threads the planner assumes for this executor's frames —
-  /// the weighted fair share the serving layer grants the stream under a
-  /// shared pool (0 = the whole pool).  Set it only between this executor's
-  /// frames, from the thread that steps it.
+  /// Cap the pool threads the host planner assumes for this executor's
+  /// frames — the weighted fair share the serving layer grants the stream
+  /// under a shared pool (0 = the whole pool).  Set it only between this
+  /// executor's frames, from the thread that steps it.
   void set_pool_share(i32 threads) { pool_share_ = threads; }
   /// Pool threads the planner currently assumes (share-capped pool size).
   [[nodiscard]] i32 effective_threads() const;
 
-  /// Export the current predictor stack for warm-starting a same-class
-  /// stream (serve::PredictorRegistry).
+  /// Export the predictor for pricing a same-class stream
+  /// (serve::PredictorRegistry).
   [[nodiscard]] PredictorSnapshot snapshot_predictors() const;
-  /// Seed the predictor stack from a trained snapshot: primed filters and a
-  /// fitted Markov chain are adopted wholesale, so a deadline-configured
-  /// stream skips the cold-start warm-up and runs managed from frame 0.
-  void warm_start(const PredictorSnapshot& snap);
 
  private:
-  /// EWMA serial-ms estimate of a node; falls back to the node's
-  /// granularity sibling (RDG_ROI <-> RDG_FULL, MKX_ROI <-> MKX_FULL) while
-  /// the filter is unprimed (e.g. the first ROI-mode frame).
-  [[nodiscard]] f64 node_estimate(i32 node) const;
-
-  /// Feed the frame's measured host times back into the predictors; returns
-  /// the serial-equivalent frame total.
-  f64 feed_back(const graph::FrameRecord& record, const app::StripePlan& plan);
+  [[nodiscard]] bool simulated() const {
+    return config_.source == MeasurementSource::Simulated;
+  }
+  /// Stripe law of the source (serial <-> striped conversions, estimates).
+  [[nodiscard]] const plat::CostParams& cost() const;
+  /// CPU count the planner may stripe across.
+  [[nodiscard]] i32 planner_cpus() const;
 
   void apply_quality(i32 frame, i32 ladder_index);
 
-  /// Select and apply the stripe plan + instance budget for frame `t`
-  /// (fills the prediction-side fields of `result`); returns the pre-Markov
-  /// EWMA forecast total (drift input).  Touches predictor state — callers
-  /// outside the serial step() path must serialize plan_frame/settle_frame
-  /// (run_pipelined guards both with one mutex).
-  f64 plan_frame(i32 t, i32 frames_in_flight, ExecutedFrame& result);
-  /// Recentre the forecast by the ledger's rolling per-node bias gauge
-  /// (ledger_bias_correction satellite; no-op without enough samples).
-  void bias_correct(std::vector<rt::NodeForecast>& fc) const;
-  /// Post-execution bookkeeping for a frame whose measured_host_ms is
-  /// final: deadline accounting, predictor feedback, warm-up fitting,
-  /// stats, observability and diagnostics.  Frames must settle in order.
-  void settle_frame(ExecutedFrame& result, const graph::FrameRecord& record,
-                    f64 ewma_total);
+  /// Select and apply the stripe plan + instance budget for frame `t` and
+  /// fill the prediction-side fields of `result`.  Touches predictor state
+  /// — callers outside the serial step() path must serialize
+  /// plan_frame/settle_frame (run_pipelined guards both with one mutex).
+  void plan_frame(i32 t, i32 frames_in_flight, ExecutedFrame& result);
+  /// Fill the measured fields of `result` from the executed record;
+  /// `spike_ms` of injected interference is charged to the frame.
+  void measure(const graph::FrameRecord& record, f64 spike_ms,
+               ExecutedFrame& result) const;
+  /// Post-execution bookkeeping for a measured frame: deadline accounting,
+  /// the output delay line, predictor feedback, deadline derivation, stats,
+  /// observability and diagnostics.  Frames must settle in order.
+  void settle_frame(ExecutedFrame& result, const graph::FrameRecord& record);
 
   /// Ledger prediction rows for frame `t` under the chosen plan: CPU from
-  /// the (Markov-scaled) forecast striped through the plan, memory and
-  /// per-bus traffic from the auxiliary per-node EWMA filters.
+  /// the planning forecast striped through the plan, memory and per-bus
+  /// traffic from the auxiliary per-node EWMA filters.
   void ledger_predict(i32 t, std::span<const rt::NodeForecast> fc,
                       const ExecutedFrame& result);
-  /// Settle the frame's ledger rows from measured task executions, update
-  /// the auxiliary filters and feed the per-node drift streams.
+  /// Settle the frame's ledger rows from the measured task executions,
+  /// update the auxiliary filters and feed the per-node drift streams.
   void ledger_settle(const ExecutedFrame& result,
                      const graph::FrameRecord& record);
 
-  void record_frame_observability(const ExecutedFrame& f);
-  /// Drift/SLO evaluation + post-mortem triggers for one finished frame;
-  /// `ewma_total` is the pre-Markov serial-equivalent forecast (0 when
-  /// unmanaged), `serial_total` the frame's serial-equivalent measurement.
-  void run_diagnostics(const ExecutedFrame& f, f64 ewma_total,
-                       f64 serial_total);
+  /// Before the frame runs: frame_start (b = the simulated start), the plan
+  /// choice.  After it ran: frame_end, misses, repartitions, the simulated
+  /// tasks, metrics and (simulated source) the per-frame log.
+  void record_frame_start(const ExecutedFrame& f, f64 planned_ms);
+  void record_frame_observability(const ExecutedFrame& f,
+                                  const graph::FrameRecord& record);
+  /// Drift/SLO evaluation + post-mortem triggers for one finished frame.
+  void run_diagnostics(const ExecutedFrame& f);
   /// `breach` (optional) attaches the triggering SLO's identity, value and
   /// threshold plus the monitor's window aggregates to the bundle's extra
   /// fields.
@@ -376,14 +356,14 @@ class Executor {
   std::unique_ptr<plat::ThreadPool> owned_pool_;
   plat::ThreadPool* pool_;
   app::StentBoostApp app_;
+  model::GraphPredictor predictor_;
   analysis::Report validation_report_;
   analysis::Report audit_report_;
 
-  std::array<model::EwmaFilter, app::kNodeCount> node_ewma_;
   /// Auxiliary per-node filters for the non-CPU ledger resources (memory
   /// footprint and the three bus classes), fed from measured actuals at
-  /// settle; indexed [node][resource - 1] (resource 0 = CpuMs lives in
-  /// node_ewma_).
+  /// settle; indexed [node][resource - 1] (resource 0 = CpuMs comes from
+  /// the predictor).
   std::array<std::array<model::EwmaFilter, obs::kLedgerResourceCount - 1>,
              app::kNodeCount>
       node_aux_ewma_;
@@ -391,12 +371,8 @@ class Executor {
   /// outgoing edge (display sink) — the ledger's I/O-bus attribution.
   std::array<bool, app::kNodeCount> node_is_source_{};
   std::array<bool, app::kNodeCount> node_is_sink_{};
-  model::MarkovChain frame_markov_;
-  /// Serial-equivalent frame totals of the warm-up phase (Markov training
-  /// series) and measured warm-up latencies (deadline derivation).
-  std::vector<f64> warmup_serial_totals_;
+  /// Measured warm-up latencies (deadline derivation).
   std::vector<f64> warmup_measured_ms_;
-  f64 last_serial_total_ms_ = 0.0;
 
   f64 deadline_ms_ = 0.0;
   bool deadline_set_ = false;
@@ -406,6 +382,9 @@ class Executor {
   /// Index into rt::quality_ladder() currently applied (Degrade policy).
   i32 quality_index_ = 0;
   i32 recover_streak_ = 0;
+  /// Simulated-timeline cursor (frame_start payload): frames are laid out
+  /// back to back at their output (delay-line) latency.
+  f64 sim_clock_ms_ = 0.0;
 
   ExecutorStats stats_;
   f64 measured_sum_ms_ = 0.0;
@@ -422,16 +401,6 @@ class Executor {
   i64 next_ticket_ = 0;
   /// Last frame result, kept for explicit write_postmortem() requests.
   ExecutedFrame last_frame_;
-
-  /// Off-thread status mirror (see status_snapshot()).
-  mutable common::Mutex status_mutex_;
-  StatusSnapshot status_ TC_GUARDED_BY(status_mutex_);
-  /// Single-stream status JSON for the /streams endpoint.
-  [[nodiscard]] std::string status_json() const TC_EXCLUDES(status_mutex_);
-  /// Telemetry plane, declared last so it is destroyed *first*: handler
-  /// threads must stop before the state their providers snapshot.
-  std::unique_ptr<obs::StatusAggregator> status_agg_;
-  std::unique_ptr<obs::TelemetryServer> telemetry_;
 };
 
 }  // namespace tc::exec

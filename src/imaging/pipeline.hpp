@@ -70,6 +70,10 @@ struct RidgeScratch {
   /// Reshape every plane to width x rows (reuses allocations; stale
   /// contents are fine — ridge_detect_rows writes or zeroes what it reads).
   void ensure(i32 width, i32 rows);
+  /// Reshape every plane to the band ridge_detect_rows(frame, roi, ..., rows)
+  /// uses, so a caller can allocate on its own thread before fanning
+  /// instances out (the call itself then allocates nothing).
+  void ensure_for(const ImageF32& frame, Rect roi, IndexRange rows);
 };
 
 /// Stripe variant: computes response/blobness rows [rows.lo, rows.hi) ∩ roi

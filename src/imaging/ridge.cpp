@@ -9,6 +9,7 @@
 // of candidate pixels, which is what makes the RDG execution time depend on
 // the video content (Fig. 3).
 
+#include <algorithm>
 #include <cmath>
 
 #include "imaging/pipeline.hpp"
@@ -20,7 +21,36 @@ namespace {
 /// (radius 3) sees identical response values in serial and striped runs.
 constexpr i32 kFilterHalo = 3;
 
+/// Output rows [y0, y1) of a ridge_detect_rows call (y1 <= y0: nothing to
+/// do) and the band [b0, b1) its scratch planes hold: the output rows plus
+/// the kFilterHalo + 1 rows sub-stage D's along-ridge sampling reads beyond
+/// them (bilinear interpolation adds one row).
+struct RowBand {
+  Rect roi;
+  i32 y0 = 0;
+  i32 y1 = 0;
+  i32 b0 = 0;
+  i32 b1 = 0;
+};
+
+RowBand row_band(const ImageF32& frame, Rect roi, IndexRange rows) {
+  RowBand g;
+  g.roi = clamp_rect(roi, frame.width(), frame.height());
+  if (g.roi.empty()) return g;
+  g.y0 = std::clamp(rows.lo, g.roi.y, g.roi.y + g.roi.h);
+  g.y1 = std::clamp(rows.hi, g.roi.y, g.roi.y + g.roi.h);
+  g.b0 = std::max(0, g.y0 - kFilterHalo - 1);
+  g.b1 = std::min(frame.height(), g.y1 + kFilterHalo + 1);
+  return g;
+}
+
 }  // namespace
+
+void RidgeScratch::ensure_for(const ImageF32& frame, Rect roi,
+                              IndexRange rows) {
+  const RowBand g = row_band(frame, roi, rows);
+  if (g.y1 > g.y0) ensure(frame.width(), g.b1 - g.b0);
+}
 
 void RidgeScratch::ensure(i32 width, i32 rows) {
   smooth.ensure(width, rows);
@@ -36,17 +66,15 @@ void ridge_detect_rows(const ImageF32& frame, Rect roi,
                        ImageF32& blobness, IndexRange rows,
                        u64& dominant_pixels, WorkReport& work,
                        RidgeScratch* scratch) {
-  Rect r = clamp_rect(roi, frame.width(), frame.height());
-  if (r.empty()) return;
-  const i32 y0 = std::clamp(rows.lo, r.y, r.y + r.h);
-  const i32 y1 = std::clamp(rows.hi, r.y, r.y + r.h);
+  const RowBand g = row_band(frame, roi, rows);
+  const Rect r = g.roi;
+  const i32 y0 = g.y0;
+  const i32 y1 = g.y1;
   if (y1 <= y0) return;
 
   // Working buffers: caller-provided scratch (allocation-free in steady
-  // state) or a fresh local set.  Every plane holds the band [b0, b1): the
-  // output rows plus the kFilterHalo + 1 rows sub-stage D's along-ridge
-  // sampling reads beyond them (bilinear interpolation adds one row), full
-  // frame width.  Plane row y - b0 is frame row y.  A band edge inside the
+  // state) or a fresh local set.  Every plane holds the band [b0, b1) at
+  // full frame width.  Plane row y - b0 is frame row y.  A band edge inside the
   // frame lies beyond every read, so clamping at the band's edges reads the
   // pixels clamping at the frame's edges would.  Stale scratch only matters
   // for the response plane — D's along-ridge reads there reach beyond the
@@ -54,9 +82,8 @@ void ridge_detect_rows(const ImageF32& frame, Rect roi,
   // it is cleared; every other read falls inside freshly written pixels.
   RidgeScratch local;
   RidgeScratch& buf = scratch != nullptr ? *scratch : local;
-  const i32 b0 = std::max(0, y0 - kFilterHalo - 1);
-  const i32 b1 = std::min(frame.height(), y1 + kFilterHalo + 1);
-  buf.ensure(frame.width(), b1 - b0);
+  const i32 b0 = g.b0;
+  buf.ensure(frame.width(), g.b1 - b0);
   buf.resp_local.fill(0.0f);
 
   // Extended band: the output band plus the filtering halo, clamped to the

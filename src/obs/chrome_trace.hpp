@@ -15,7 +15,7 @@
 //   ledger_cpu -> 'C' "ledger <node> cpu_ms", series predicted/actual
 //   stage_start and sim_task are consumed by the rules above and below;
 //   every other event becomes an instant named after its type.
-// pid 1 "simulated platform" — the runtime manager's simulated clock, read
+// pid 1 "simulated platform" — the simulated source's clock, read
 // from the event payload (frame_start.b is the frame's simulated start):
 //   a frame whose frame_end is followed on its thread's ring by sim_task
 //   events gets a 'X' "frame <f>" of max(measured, budget) ms, a

@@ -9,11 +9,11 @@
 //
 //   * change detectors — Page-Hinkley and two-sided CUSUM over a per-frame
 //     error stream, plus a plain threshold on the smoothed error;
-//   * DriftMonitor — named per-predictor streams (e.g. "ewma_only" vs
-//     "markov_corrected") of predicted-vs-measured pairs, scored as
+//   * DriftMonitor — named streams (e.g. the executor's "frame_latency"
+//     and per-node "node:<name>") of predicted-vs-measured pairs, scored as
 //     absolute percentage error, smoothed, fed to the detectors, and
-//     mirrored into the MetricsRegistry; alerts fire a callback the
-//     executor uses to force re-training;
+//     mirrored into the MetricsRegistry; the executor counts and
+//     flight-records alerts and writes post-mortems on them;
 //   * SloMonitor — sliding-window service-level objectives (deadline-miss
 //     rate, p99 latency, p99-p50 jitter) evaluated per frame with breach
 //     callbacks and per-SLO cooldowns.
@@ -91,7 +91,7 @@ enum class DriftDetector { Threshold, PageHinkley, Cusum };
 [[nodiscard]] const char* to_string(DriftDetector d);
 
 struct DriftAlert {
-  std::string stream;  ///< predictor stream name ("markov_corrected", ...)
+  std::string stream;  ///< predictor stream name ("frame_latency", ...)
   DriftDetector detector = DriftDetector::Threshold;
   i32 frame = -1;
   /// Detector statistic and the threshold it crossed.

@@ -25,8 +25,6 @@ const char* to_string(FrEventType t) {
       return "qos_transition";
     case FrEventType::NodeTiming:
       return "node_timing";
-    case FrEventType::MarkovState:
-      return "markov_state";
     case FrEventType::ScenarioSwitch:
       return "scenario_switch";
     case FrEventType::DeadlineMiss:
@@ -35,8 +33,6 @@ const char* to_string(FrEventType t) {
       return "slo_breach";
     case FrEventType::DriftAlert:
       return "drift_alert";
-    case FrEventType::Retrain:
-      return "retrain";
     case FrEventType::CtxAdmit:
       return "ctx_admit";
     case FrEventType::CtxCommit:

@@ -42,11 +42,12 @@ namespace tc::obs {
 /// an event is (type, frame, node, a, b) — the meaning of `node`, `a` and
 /// `b` per type is documented here and mirrored in DESIGN.md §5e.  `ts_us`
 /// is always the host time the event was recorded; a span is one event
-/// recorded when it closes (ts = end, a = its wall ms), and the runtime
-/// manager's simulated timeline travels in the payload.
+/// recorded when it closes (ts = end, a = its wall ms), and the simulated
+/// timeline (exec::Executor on the simulated source) travels in the
+/// payload.
 enum class FrEventType : u16 {
-  FrameStart = 0,   ///< frame begins; a = predicted ms (0 when unmanaged),
-                    ///<   b = simulated start ms (runtime manager only)
+  FrameStart = 0,   ///< frame begins; a = predicted ms, b = simulated
+                    ///<   start ms (simulated source only)
   FrameEnd,         ///< frame done; a = measured ms, b = deadline/budget ms
                     ///<   (0 while unmanaged)
   QueuePush,        ///< node = queue id; a = depth after push
@@ -56,12 +57,10 @@ enum class FrEventType : u16 {
   PlanChoice,       ///< a = total stripes of the plan, b = estimated ms
   QosTransition,    ///< a = new quality level, b = previous level
   NodeTiming,       ///< node id; a = predicted serial ms, b = measured
-  MarkovState,      ///< a = quantized state index, b = predicted next total
   ScenarioSwitch,   ///< a = new scenario id, b = previous scenario id
   DeadlineMiss,     ///< a = measured ms, b = deadline ms
   SloBreach,        ///< node = slo index; a = value, b = threshold
   DriftAlert,       ///< node = stream index; a = statistic, b = threshold
-  Retrain,          ///< predictor re-training forced; a = trigger frame
   CtxAdmit,         ///< frame context admitted; a = stream ticket
   CtxCommit,        ///< stream state committed; a = ticket, b = 0 front/1 back
   InstanceFanout,   ///< node id; a = instance count, b = total work units

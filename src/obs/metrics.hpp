@@ -169,8 +169,8 @@ class MetricsRegistry {
   std::vector<std::unique_ptr<Slot>> slots_ TC_GUARDED_BY(mutex_);
 };
 
-/// One row of the per-frame log (written by the runtime manager's hook,
-/// consumed by the CSV exporter and the ASCII dashboard).
+/// One row of the per-frame log (written by the executor on the simulated
+/// source, consumed by the CSV exporter and the ASCII dashboard).
 struct FrameSample {
   i32 frame = -1;
   u32 scenario = 0;

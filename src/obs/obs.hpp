@@ -1,6 +1,6 @@
 // Umbrella header and process-global observability context.
 //
-// Instrumentation hooks throughout the stack (runtime manager, QoS, the
+// Instrumentation hooks throughout the stack (the executor, the
 // StentBoost app, the thread pool, the cache simulator, the predictors)
 // check `obs::enabled()` — a relaxed atomic load — and do nothing when
 // observability is off, so the hot path cost of a disabled registry is one
@@ -10,7 +10,7 @@
 // Every event — frame lifecycles, spans, instants, counter samples — goes
 // to one store, the flight recorder's per-thread rings (8192 events per
 // recording thread; a wrap overwrites that thread's oldest events).  A span
-// is one event recorded when it closes.  The runtime manager's simulated
+// is one event recorded when it closes.  The simulated source's
 // timeline travels in the event payload, the host time in the timestamp.
 //
 // Typical use (see examples/observe_run.cpp):

@@ -50,18 +50,13 @@ std::string metrics_json(const MetricsRegistry& metrics) {
 }
 
 std::string predictors_json(const PredictorStateSummary& p) {
-  std::string out = "{\"markov_fitted\":";
-  out += p.markov_fitted ? "true" : "false";
-  out += ",\"markov_states\":" + std::to_string(p.markov_states);
-  out += ",\"last_serial_total_ms\":" + fmt_f64(p.last_serial_total_ms);
-  out += ",\"markov_predicted_next_ms\":" + fmt_f64(p.markov_predicted_next_ms);
-  out += ",\"nodes\":[";
+  std::string out = "{\"nodes\":[";
   for (usize i = 0; i < p.nodes.size(); ++i) {
     if (i != 0) out += ",";
     const auto& n = p.nodes[i];
     out += "{\"name\":\"" + common::json_escape(n.name) +
-           "\",\"ewma_ms\":" + fmt_f64(n.ewma_ms) +
-           ",\"primed\":" + (n.primed ? "true" : "false") + "}";
+           "\",\"predicted_ms\":" + fmt_f64(n.predicted_ms) +
+           ",\"active\":" + (n.active ? "true" : "false") + "}";
   }
   out += "],\"drift_errors_pct\":{";
   for (usize i = 0; i < p.drift_errors_pct.size(); ++i) {

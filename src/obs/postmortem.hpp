@@ -41,20 +41,16 @@ struct PostmortemConfig {
   usize keep_latest = 0;
 };
 
-/// Snapshot of the predictor stack at bundle time, filled by the layer that
-/// owns the predictors (the executor / runtime manager) so obs stays free
-/// of model dependencies.
+/// Snapshot of the predictor at bundle time, filled by the layer that owns
+/// it (the executor) so obs stays free of model dependencies.
 struct PredictorStateSummary {
+  /// One node of the coming frame's serial-equivalent forecast.
   struct NodeState {
     std::string name;
-    f64 ewma_ms = 0.0;
-    bool primed = false;
+    f64 predicted_ms = 0.0;
+    bool active = false;
   };
   std::vector<NodeState> nodes;
-  bool markov_fitted = false;
-  usize markov_states = 0;
-  f64 last_serial_total_ms = 0.0;
-  f64 markov_predicted_next_ms = 0.0;
   /// Smoothed drift errors per monitored stream (name, error_pct).
   std::vector<std::pair<std::string, f64>> drift_errors_pct;
 };

@@ -7,15 +7,15 @@
 // aggregator enforces that discipline structurally — subsystems register
 // *providers* (small callables returning already-snapshotted state), and
 // every provider is built on an explicit snapshot method of the subsystem
-// (serve::StreamServer::fleet_status(), exec::Executor::status_snapshot(),
-// obs::SloMonitor::snapshot(), obs::PredictionLedger::recent()), each of
+// (serve::StreamServer::fleet_status(), obs::SloMonitor::snapshot(),
+// obs::PredictionLedger::recent()), each of
 // which copies state out under its own short-lived lock.  The aggregator's
 // own mutex only guards provider registration; providers are invoked with
 // it released.
 //
 // Layering: obs cannot see serve/exec, so the providers are type-erased
-// std::functions that the higher layers install (the StreamServer registers
-// a fleet-status JSON provider, the Executor a single-stream one).  The
+// std::functions that the higher layer installs (the StreamServer registers
+// a fleet-status JSON provider).  The
 // ledger provider returns raw LedgerRows; the aggregator renders the
 // calibration report itself via build_calibration_report/worst_calibrated
 // so every server shows the same worst-calibrated ranking as the

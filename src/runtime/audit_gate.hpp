@@ -1,10 +1,10 @@
 // Bridge between the generic audit core (analysis/audit.hpp) and the
 // StentBoost application: builds the per-scenario ScheduleNode cases from a
-// trained GraphPredictor — the same forecasts RuntimeManager::forecast
-// feeds rt::choose_plan — so the offline proof and the online planner argue
-// about identical numbers.  RuntimeManager and exec::Executor call
-// audit_app at startup (behind their audit_at_startup options) to refuse
-// graphs whose reachable scenarios are statically infeasible.
+// trained GraphPredictor — the same per-node predictions exec::Executor's
+// forecast feeds rt::choose_plan — so the offline proof and the online
+// planner argue about identical numbers.  exec::Executor calls audit_app at
+// startup (behind ExecutorConfig::audit_at_startup) to refuse graphs whose
+// reachable scenarios are statically infeasible.
 #pragma once
 
 #include <span>

@@ -1,8 +1,7 @@
 #include "runtime/qos.hpp"
 
+#include <algorithm>
 #include <array>
-
-#include "obs/obs.hpp"
 
 namespace tc::rt {
 
@@ -31,40 +30,20 @@ std::vector<NodeForecast> degrade_forecast(
   return out;
 }
 
-QosDecision choose_quality_and_plan(const plat::CostParams& params,
-                                    std::span<const NodeForecast> forecast,
-                                    f64 budget_ms, i32 max_stripes_per_task,
-                                    i32 cpu_count) {
-  QosDecision decision;
-  i32 ladder_steps = 0;
-  bool fit = false;
-  for (const QualityLevel& level : quality_ladder()) {
-    ++ladder_steps;
-    std::vector<NodeForecast> degraded = degrade_forecast(forecast, level);
-    PlanChoice plan = choose_plan(params, degraded, budget_ms,
-                                  max_stripes_per_task, cpu_count);
-    decision.level = level;
-    decision.plan = plan;
-    if (plan.fits_budget) {
-      fit = true;
-      break;
-    }
+QualityPlan walk_quality_ladder(const plat::CostParams& params,
+                                std::span<const NodeForecast> forecast,
+                                f64 budget_ms, i32 max_stripes_per_task,
+                                i32 cpu_count, i32 from_level) {
+  const std::span<const QualityLevel> ladder = quality_ladder();
+  const i32 lowest = narrow<i32>(ladder.size()) - 1;
+  QualityPlan q;
+  for (q.level = std::clamp(from_level, 0, lowest);; ++q.level) {
+    const std::vector<NodeForecast> degraded =
+        degrade_forecast(forecast, ladder[static_cast<usize>(q.level)]);
+    q.plan = choose_plan(params, degraded, budget_ms, max_stripes_per_task,
+                         cpu_count);
+    if (q.plan.fits_budget || q.level == lowest) return q;
   }
-  // When nothing fits we stay at the lowest quality with its widest plan.
-  if (obs::enabled()) {
-    obs::MetricsRegistry& m = obs::global().metrics;
-    m.counter("tripleC_qos_evaluations_total",
-              "Invocations of the QoS quality/plan search")
-        .add();
-    m.counter("tripleC_qos_ladder_steps_total",
-              "Quality levels examined across all QoS evaluations")
-        .add(static_cast<f64>(ladder_steps));
-    obs::Counter& exhausted = m.counter(
-        "tripleC_qos_ladder_exhausted_total",
-        "QoS evaluations where even the lowest quality missed the budget");
-    if (!fit) exhausted.add();
-  }
-  return decision;
 }
 
 }  // namespace tc::rt

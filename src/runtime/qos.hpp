@@ -3,7 +3,7 @@
 // control").
 //
 // When even the widest stripe plan cannot meet the latency budget, the QoS
-// controller degrades the application gracefully instead of letting the
+// ladder degrades the application gracefully instead of letting the
 // latency blow up.  Quality levels trade accuracy/fidelity for time on the
 // tasks that tolerate it:
 //
@@ -12,9 +12,10 @@
 //   level 2  + skip the guide-wire stability check
 //   level 3  + display zoom at half resolution
 //
-// The controller is purely advisory: it scales the latency forecast by
-// analytically known factors and reports the level to apply; StentBoostApp
-// implements the knobs (set_quality).
+// The ladder is purely advisory: it scales the latency forecast by
+// analytically known factors and reports the level to apply; the executor's
+// Degrade policy walks it and StentBoostApp implements the knobs
+// (set_quality).
 #pragma once
 
 #include <span>
@@ -52,17 +53,19 @@ struct QualityLevel {
 [[nodiscard]] std::vector<NodeForecast> degrade_forecast(
     std::span<const NodeForecast> forecast, const QualityLevel& level);
 
-/// Decision of the QoS controller for one frame.
-struct QosDecision {
-  QualityLevel level;
+/// Quality level (index into quality_ladder()) and plan of one frame.
+struct QualityPlan {
+  i32 level = 0;
   PlanChoice plan;
 };
 
-/// Walk the quality ladder from full quality downwards, choosing the first
-/// level whose best plan fits the budget; falls back to the lowest level's
-/// widest plan when nothing fits.
-[[nodiscard]] QosDecision choose_quality_and_plan(
+/// The Degrade policy's ladder walk: starting at ladder index `from_level`,
+/// step down one quality level at a time until the best plan of a level
+/// fits the budget; stops at the lowest level (with its widest plan) when
+/// nothing fits.  Recovering quality is the caller's decision (the executor
+/// lifts one level after a streak of frames that fit one level better).
+[[nodiscard]] QualityPlan walk_quality_ladder(
     const plat::CostParams& params, std::span<const NodeForecast> forecast,
-    f64 budget_ms, i32 max_stripes_per_task, i32 cpu_count);
+    f64 budget_ms, i32 max_stripes_per_task, i32 cpu_count, i32 from_level);
 
 }  // namespace tc::rt

@@ -44,8 +44,9 @@ AdmissionController::AdmissionController(AdmissionConfig config,
                                          plat::PlatformSpec spec)
     : config_(config),
       pool_threads_(std::max(1, pool_threads)),
-      capacity_cores_(static_cast<f64>(std::max(1, pool_threads)) *
-                      config.cpu_headroom),
+      capacity_cores_(
+          static_cast<f64>(std::min(pool_threads_, plat::affinity_cores())) *
+          config.cpu_headroom),
       capacity_bus_mbps_(spec.memory_bus_gbps * 1000.0 * config.bus_headroom) {}
 
 StreamDemand AdmissionController::estimate_demand(
@@ -56,15 +57,14 @@ StreamDemand AdmissionController::estimate_demand(
 
   std::vector<rt::NodeForecast> forecast(app::kNodeCount);
   if (snapshot != nullptr && snapshot->trained()) {
-    // Warm admission: the registry's trained stack prices the stream with no
-    // execution at all — skipping the probe is the first cold-start saving.
+    // Warm admission: the registry's trained predictor prices the stream
+    // with no execution at all — skipping the probe is the first cold-start
+    // saving.
     d.warm = true;
-    d.frame_ms = snapshot->mean_frame_ms();
     d.bus_mb_per_frame = snapshot->bus_mb_per_frame;
-    for (usize node = 0; node < app::kNodeCount; ++node) {
-      forecast[node].active = snapshot->node_primed[node];
-      forecast[node].serial_ms = snapshot->node_serial_ms[node];
-      forecast[node].data_parallel = app::node_data_parallel(narrow<i32>(node));
+    forecast = snapshot->forecast();
+    for (const rt::NodeForecast& f : forecast) {
+      if (f.active) d.frame_ms += f.serial_ms;
     }
   } else {
     // Cold admission: serially probe a throwaway copy of the application

@@ -62,7 +62,8 @@ struct StreamDemand {
 };
 
 struct AdmissionConfig {
-  /// Fraction of the pool's cores admission may commit (the rest absorbs
+  /// Fraction of the cores admission may commit — the pool's threads, but
+  /// no more than the cores in the process affinity mask (the rest absorbs
   /// stripe overhead, scheduler noise and prediction error).
   f64 cpu_headroom = 0.85;
   /// Fraction of the platform memory-bus bandwidth admission may commit.

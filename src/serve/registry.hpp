@@ -1,15 +1,14 @@
-// Warm-start registry: trained predictor stacks shared across streams.
+// Warm-start registry: trained predictors shared across streams.
 //
-// The paper motivates prediction with mode-transition delay — a predictor
-// that has to relearn after every change serves its first frames blind.  At
-// fleet scale the same waste recurs per *stream*: every admitted stream
-// would cold-start its EWMA filters and Markov chain even when an identical
-// stream (same resolution, same pipeline switches) just retired.  The
-// registry closes that loop: StreamServer publishes a PredictorSnapshot
-// when a stream retires, keyed by its *scenario class* (the configuration
-// facets that determine computation-time statistics), and clones the best
-// snapshot into newly admitted same-class streams.  Warm streams also skip
-// the admission probe — the snapshot itself prices them.
+// Admission must price a stream before it runs.  Without history that takes
+// a serial probe of a throwaway application copy — real frames, paid at
+// every submit, even when an identical stream (same resolution, same
+// pipeline switches) just retired.  The registry removes that cost:
+// StreamServer publishes a PredictorSnapshot when a stream retires, keyed by
+// its *scenario class* (the configuration facets that determine
+// computation-time statistics), and prices newly submitted same-class
+// streams from the best snapshot with no execution.  The admitted stream's
+// loop still learns its own predictor from frame 0.
 #pragma once
 
 #include <optional>

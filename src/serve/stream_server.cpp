@@ -80,13 +80,13 @@ i32 StreamServer::submit(StreamConfig stream) {
   report.decision = admission_.decide(demand);
   if (report.decision.verdict == AdmissionVerdict::Reject && demand.warm) {
     // A snapshot trained under fleet contention over-prices the stream
-    // (its EWMAs saw contended wall times, not intrinsic cost).  Before
-    // rejecting on warm numbers alone, re-price with an uncontended probe —
-    // the stream still warm-starts its predictors if it is admitted.
+    // (its predictor saw contended wall times, not intrinsic cost).  Before
+    // rejecting on warm numbers alone, re-price with an uncontended probe.
     demand = admission_.estimate_demand(stream.app, stream.deadline_ms,
                                         stream.max_stripes_per_task, nullptr);
     report.decision = admission_.decide(demand);
   }
+  report.warm_started = demand.warm;
 
   stream_configs_.push_back(std::move(stream));
   reports_.push_back(std::move(report));
@@ -136,13 +136,6 @@ void StreamServer::activate(i32 id) {
   ec.ledger.export_metrics = false;
   ec.ledger.trace_counters = false;
   session->executor = std::make_unique<exec::Executor>(stream.app, ec);
-
-  const std::optional<exec::PredictorSnapshot> snap =
-      registry_.lookup(report.class_key);
-  if (snap.has_value() && snap->trained()) {
-    session->executor->warm_start(*snap);
-    report.warm_started = true;
-  }
 
   // Per-stream SLOs under stream-prefixed names, so N monitors coexist in
   // one MetricsRegistry.
@@ -220,7 +213,8 @@ StreamServer::Session* StreamServer::pick_min_vtime() {
 }
 
 void StreamServer::retire(Session& s) {
-  // Publish the trained stack so the next same-class stream warm-starts.
+  // Publish the trained predictor so the next same-class stream is priced
+  // without a probe.
   registry_.publish(reports_[static_cast<usize>(s.id)].class_key,
                     s.executor->snapshot_predictors());
   admission_.release(s.demand);

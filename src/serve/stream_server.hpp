@@ -20,8 +20,8 @@
 //     (exec::Executor::set_pool_share → rt::budget_for_plan), so a
 //     heavyweight stream cannot starve the others' instance budgets;
 //   * the warm-start registry (serve::PredictorRegistry): retiring streams
-//     publish their trained predictor stacks, newly admitted same-class
-//     streams clone them and serve calibrated from frame 0;
+//     publish their trained predictors, and newly submitted same-class
+//     streams are priced from them without a probe;
 //   * aggregate SLOs: per-stream and fleet-wide p99/miss-rate via
 //     obs::SloMonitor (stream-prefixed objective names), fleet gauges in
 //     the MetricsRegistry, and StreamAdmit/StreamReject/StreamRetire
@@ -64,7 +64,7 @@ struct StreamConfig {
   i32 max_stripes_per_task = 4;
   /// Per-stream prediction ledger (rows tagged with the stream id).
   bool ledger = true;
-  /// Executor warm-up length for cold streams (Markov fitting window).
+  /// Executor warm-up length (derives the deadline when none is set).
   i32 warmup_frames = 6;
   /// Display name ("s<id>" when empty).
   std::string name;
@@ -98,6 +98,7 @@ struct StreamReport {
   std::string name;
   std::string class_key;
   AdmissionDecision decision;
+  /// Admitted warm: priced from a registry snapshot, without a probe.
   bool warm_started = false;
   f64 weight = 1.0;
   f64 deadline_ms = 0.0;
@@ -241,7 +242,7 @@ class StreamServer {
   };
 
   /// Build the session for an admitted stream (executor on the shared pool,
-  /// warm start, per-stream SLO monitor) and commit its demand.
+  /// per-stream SLO monitor) and commit its demand.
   void activate(i32 id) TC_REQUIRES(mutex_);
   /// Retire a finished session: publish its predictor snapshot, release its
   /// demand, finalize its report, promote queued streams that now fit.

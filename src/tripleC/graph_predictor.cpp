@@ -30,7 +30,13 @@ TaskPredictor& GraphPredictor::task_predictor(i32 node, u32 context) {
 
 const TaskPredictor& GraphPredictor::task_predictor(i32 node,
                                                     u32 context) const {
-  return const_cast<GraphPredictor*>(this)->task_predictor(node, context);
+  return tasks_[static_cast<usize>(node)].at(context);
+}
+
+const TaskPredictor* GraphPredictor::find_task(i32 node, u32 context) const {
+  const auto& per_node = tasks_[static_cast<usize>(node)];
+  const auto it = per_node.find(context);
+  return it == per_node.end() ? nullptr : &it->second;
 }
 
 std::vector<u32> GraphPredictor::contexts(i32 node) const {
@@ -85,14 +91,34 @@ f64 GraphPredictor::predict_task(i32 node, f64 roi_pixels) const {
   const graph::FrameRecord* prev =
       last_record_.has_value() ? &*last_record_ : nullptr;
   u32 ctx = context_of(prev, node);
-  const TaskPredictor& p = task_predictor(node, ctx);
-  if (p.trained()) return p.predict(roi_pixels);
-  // Fall back to the default-context predictor when this context was never
-  // seen in training.
-  return task_predictor(node, 0).predict(roi_pixels);
+  const TaskPredictor* p = find_task(node, ctx);
+  if (p == nullptr || !p->trained()) {
+    // Fall back to the default-context predictor when this context was never
+    // seen in training; a node that never ran predicts 0 ms.
+    p = find_task(node, 0);
+  }
+  return p != nullptr ? p->predict(roi_pixels) : 0.0;
+}
+
+bool GraphPredictor::trained() const {
+  for (const auto& per_node : tasks_) {
+    for (const auto& [ctx, p] : per_node) {
+      if (p.trained()) return true;
+    }
+  }
+  return false;
 }
 
 void GraphPredictor::observe(const graph::FrameRecord& record) {
+  std::vector<f64> task_ms(configs_.size(), 0.0);
+  for (const graph::TaskExecution& exec : record.tasks) {
+    if (exec.executed) task_ms[static_cast<usize>(exec.node)] = exec.simulated_ms;
+  }
+  observe(record, task_ms);
+}
+
+void GraphPredictor::observe(const graph::FrameRecord& record,
+                             std::span<const f64> task_ms) {
   const graph::FrameRecord* prev =
       last_record_.has_value() ? &*last_record_ : nullptr;
   if (prev != nullptr) {
@@ -104,35 +130,10 @@ void GraphPredictor::observe(const graph::FrameRecord& record) {
                                   static_cast<f64>(prev->scenario));
     }
   }
-  std::vector<obs::LedgerSample> ledger_preds;
-  std::vector<obs::LedgerSample> ledger_actuals;
   for (const graph::TaskExecution& exec : record.tasks) {
     if (!exec.executed) continue;
+    const f64 measured_ms = task_ms[static_cast<usize>(exec.node)];
     u32 ctx = context_of(prev, exec.node);
-    if (ledger_ != nullptr) {
-      // Causal prediction: the same context/fallback rule as predict_task,
-      // evaluated before the observe below advances the online state.
-      const TaskPredictor& configured = task_predictor(exec.node, ctx);
-      const TaskPredictor& p =
-          configured.trained() ? configured : task_predictor(exec.node, 0);
-      if (p.trained()) {
-        obs::LedgerSample pred;
-        pred.node = exec.node;
-        pred.mask = obs::ledger_bit(obs::LedgerResource::CpuMs);
-        pred.values[static_cast<usize>(obs::LedgerResource::CpuMs)] =
-            p.predict(record.roi_pixels);
-        ledger_preds.push_back(pred);
-      }
-      obs::LedgerSample meas;
-      meas.node = exec.node;
-      meas.mask = obs::ledger_bit(obs::LedgerResource::CpuMs) |
-                  obs::ledger_bit(obs::LedgerResource::MemBytes);
-      meas.values[static_cast<usize>(obs::LedgerResource::CpuMs)] =
-          exec.simulated_ms;
-      meas.values[static_cast<usize>(obs::LedgerResource::MemBytes)] =
-          static_cast<f64>(exec.work.footprint_bytes());
-      ledger_actuals.push_back(meas);
-    }
     if (obs::enabled()) {
       // Attribute the prediction this task would have been given (the same
       // context/fallback rule as predict_task, evaluated before the observe
@@ -157,10 +158,9 @@ void GraphPredictor::observe(const graph::FrameRecord& record) {
                 obs::label("component", "combined"))
           .add(std::fabs(parts.combined_ms()));
       obs::global().flight.record(obs::FrEventType::NodeTiming, record.frame,
-                                  exec.node, parts.combined_ms(),
-                                  exec.simulated_ms);
+                                  exec.node, parts.combined_ms(), measured_ms);
       if (const std::optional<f64> err =
-              relative_error_pct(parts.combined_ms(), exec.simulated_ms)) {
+              relative_error_pct(parts.combined_ms(), measured_ms)) {
         m.histogram(
              "tripleC_task_prediction_error_pct",
              "Per-task |predicted - measured| / measured in percent",
@@ -169,16 +169,7 @@ void GraphPredictor::observe(const graph::FrameRecord& record) {
             .record(std::fabs(*err));
       }
     }
-    task_predictor(exec.node, ctx).observe(exec.simulated_ms,
-                                           record.roi_pixels);
-  }
-  if (ledger_ != nullptr) {
-    // One predict/settle pair per observed frame (simulated timeline: the
-    // ticket is the frame id, no pipelining, no deadline).
-    ledger_->predict_frame(record.frame, record.frame, /*deadline_ms=*/0.0,
-                           /*stripes=*/{}, ledger_preds);
-    ledger_->settle_frame(record.frame, record.scenario, record.latency_ms,
-                          ledger_actuals);
+    task_predictor(exec.node, ctx).observe(measured_ms, record.roi_pixels);
   }
   last_record_ = record;
 }

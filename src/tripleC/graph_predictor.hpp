@@ -12,8 +12,9 @@
 //
 // Train offline from recorded FrameRecords; use online by asking for
 // per-task predictions before a frame executes and feeding measured values
-// back afterwards.  Latency aggregation under a concrete partitioning is the
-// runtime manager's job (src/runtime).
+// back afterwards.  Latency aggregation under a concrete partitioning, and
+// normalising measurements back to serial full-quality time, is the control
+// loop's job (exec::Executor).
 #pragma once
 
 #include <functional>
@@ -25,7 +26,6 @@
 
 #include "graph/record.hpp"
 #include "graph/scenario.hpp"
-#include "obs/ledger.hpp"
 #include "tripleC/predictor.hpp"
 
 namespace tc::model {
@@ -46,14 +46,6 @@ class GraphPredictor {
   /// without scenario-dependent regimes).
   void set_context_fn(ContextFn fn) { context_fn_ = std::move(fn); }
 
-  /// Attach a prediction ledger (not owned; nullptr detaches).  Every
-  /// observe() then writes one settled row per executed task, confronting
-  /// the causal prediction — evaluated from the pre-update online state and
-  /// the previous record's context, exactly what predict_task() would have
-  /// returned before the frame ran — with the measured simulated_ms.
-  void set_ledger(obs::PredictionLedger* ledger) { ledger_ = ledger; }
-  [[nodiscard]] obs::PredictionLedger* ledger() const { return ledger_; }
-
   /// Train every per-(task, context) predictor and the scenario table from
   /// recorded sequences.  Per node, only frames where the node executed
   /// contribute; each recorded sequence forms one training sequence.
@@ -63,8 +55,15 @@ class GraphPredictor {
   /// last observed record to derive the node's context).
   [[nodiscard]] f64 predict_task(i32 node, f64 roi_pixels = 0.0) const;
 
+  /// True once train() has fitted at least one task predictor.
+  [[nodiscard]] bool trained() const;
+
   /// Feed back one executed frame (advances per-task online state and the
-  /// scenario table's notion of the current scenario).
+  /// scenario table's notion of the current scenario).  `task_ms[node]` is
+  /// the time to learn for each executed node, as the caller measured and
+  /// normalised it (indexed by node id, task_count() entries).
+  void observe(const graph::FrameRecord& record, std::span<const f64> task_ms);
+  /// Offline replay of a recorded frame: learns each task's simulated_ms.
   void observe(const graph::FrameRecord& record);
 
   /// Most likely scenario of the next frame given the last observed one.
@@ -72,6 +71,8 @@ class GraphPredictor {
 
   /// Predictor of (node, context); creates it lazily from the node config.
   [[nodiscard]] TaskPredictor& task_predictor(i32 node, u32 context = 0);
+  /// Existing predictor of (node, context); throws std::out_of_range when
+  /// none exists (see contexts()).  Never creates one.
   [[nodiscard]] const TaskPredictor& task_predictor(i32 node,
                                                     u32 context = 0) const;
   /// Configuration of a node without instantiating a predictor (lint-safe:
@@ -95,15 +96,15 @@ class GraphPredictor {
                                i32 node) const {
     return context_fn_ ? context_fn_(previous, node) : 0u;
   }
+  /// Predictor of (node, context), or nullptr when none exists yet.
+  [[nodiscard]] const TaskPredictor* find_task(i32 node, u32 context) const;
 
   std::vector<PredictorConfig> configs_;
-  // (node, context) -> predictor.  mutable so const accessors can create
-  // default-configured predictors lazily.
-  mutable std::vector<std::map<u32, TaskPredictor>> tasks_;
+  // (node, context) -> predictor, created lazily by the non-const accessor.
+  std::vector<std::map<u32, TaskPredictor>> tasks_;
   ContextFn context_fn_;
   graph::ScenarioTransitions scenario_transitions_;
   std::optional<graph::FrameRecord> last_record_;
-  obs::PredictionLedger* ledger_ = nullptr;
 };
 
 }  // namespace tc::model

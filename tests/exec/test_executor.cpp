@@ -62,7 +62,6 @@ TEST(Executor, StartupAuditGatePassesOnSmallConfig) {
   ExecutorConfig exec_config;
   exec_config.worker_threads = 2;
   exec_config.audit_at_startup = true;
-  exec_config.audit_training_frames = 12;
   Executor executor(small_config(16), exec_config);  // Strict: throws on fail
   EXPECT_FALSE(executor.audit_report().has_errors())
       << executor.audit_report().to_text();
@@ -72,7 +71,6 @@ TEST(Executor, StartupAuditGateRefusesImpossibleDeadline) {
   ExecutorConfig exec_config;
   exec_config.worker_threads = 2;
   exec_config.audit_at_startup = true;
-  exec_config.audit_training_frames = 12;
   exec_config.audit_options.deadline_ms = 1.0e-4;
   EXPECT_THROW(Executor(small_config(16), exec_config),
                analysis::AnalysisError);
@@ -83,22 +81,53 @@ TEST(Executor, FeedbackPrimesPredictors) {
   exec_config.warmup_frames = 6;
   exec_config.worker_threads = 2;
   Executor executor(heavy_config(16), exec_config);
-  EXPECT_FALSE(executor.frame_markov().fitted());
+  // Untrained EWMA per node: nothing is predicted before the first frame.
+  EXPECT_FALSE(executor.predictor().trained());
+  EXPECT_DOUBLE_EQ(executor.forecast()[app::kRdgFull].serial_ms, 0.0);
   executor.run(6);
 
-  // Full-frame mode executes RDG_FULL, MKX_FULL, ENH and ZOOM every frame.
-  EXPECT_TRUE(executor.node_filter(app::kRdgFull).primed());
-  EXPECT_TRUE(executor.node_filter(app::kMkxFull).primed());
-  EXPECT_TRUE(executor.node_filter(app::kEnh).primed());
-  EXPECT_TRUE(executor.node_filter(app::kZoom).primed());
-  EXPECT_GT(executor.node_filter(app::kRdgFull).value(), 0.0);
-  EXPECT_TRUE(executor.frame_markov().fitted());
+  // Full-frame mode executes RDG_FULL, MKX_FULL, ENH and ZOOM every frame;
+  // the online EWMAs learnt them from frame 0 on.
+  const model::GraphPredictor& gp = executor.predictor();
+  for (i32 node : {app::kRdgFull, app::kMkxFull, app::kEnh, app::kZoom}) {
+    EXPECT_EQ(gp.task_config(node).kind, model::PredictorKind::Ewma);
+    EXPECT_GT(gp.predict_task(node), 0.0) << app::node_name(node);
+  }
 
-  // The forecast mirrors the primed filters.
+  // The forecast mirrors the learnt predictions.
   const std::vector<rt::NodeForecast> fc = executor.host_forecast();
   EXPECT_TRUE(fc[app::kRdgFull].active);
   EXPECT_GT(fc[app::kRdgFull].serial_ms, 0.0);
   EXPECT_FALSE(fc[app::kRdgRoi].active);
+}
+
+TEST(Executor, FeedbackDestripesBeforeObserving) {
+  // Simulated source, tight deadline: frame 0 plans serially on the zero
+  // forecast, frame 1 stripes RDG_FULL.  Both measurements reach the EWMA
+  // as serial time, frame 1's de-striped through the source's stripe law.
+  ExecutorConfig exec_config;
+  exec_config.source = MeasurementSource::Simulated;
+  exec_config.policy = DeadlinePolicy::Run;
+  exec_config.deadline_ms = 1e-3;
+  exec_config.worker_threads = 2;
+  const app::StentBoostConfig config = heavy_config(8);
+  Executor executor(config, exec_config);
+  const ExecutedFrame f0 = executor.step(0);
+  const ExecutedFrame f1 = executor.step(1);
+
+  const auto node = static_cast<usize>(app::kRdgFull);
+  ASSERT_EQ(f0.plan[node], 1);
+  ASSERT_GT(f1.plan[node], 1);
+  ASSERT_GT(f0.task_ms[node], 0.0);
+  const f64 alpha = executor.predictor().task_config(app::kRdgFull).ewma_alpha;
+  const f64 serial1 = plat::serial_ms_from_striped(config.cost, f1.task_ms[node],
+                                                   f1.plan[node]);
+  EXPECT_NEAR(executor.predictor().predict_task(app::kRdgFull),
+              (1.0 - alpha) * f0.task_ms[node] + alpha * serial1,
+              1e-9 * serial1);
+  // The simulated source measures the record's simulated latency.
+  EXPECT_GT(f1.measured_ms, 0.0);
+  EXPECT_NE(f1.measured_ms, f1.measured_host_ms);
 }
 
 TEST(Executor, ScenarioSequenceMatchesSerialApp) {
@@ -135,7 +164,7 @@ TEST(Executor, RepartitionsWhenPredictionCrossesDeadline) {
   EXPECT_FALSE(frames[0].repartitioned);
   EXPECT_NE(frames[1].plan, app::serial_plan());
   EXPECT_TRUE(frames[1].repartitioned);
-  EXPECT_GT(frames[1].predicted_host_ms, 0.0);
+  EXPECT_GT(frames[1].predicted_ms, 0.0);
   EXPECT_GE(executor.stats().repartitions, 1);
 }
 
@@ -174,21 +203,6 @@ TEST(Executor, DegradePolicyWalksQualityLadderDown) {
   EXPECT_FALSE(frames[1].dropped);  // Degrade never drops
   EXPECT_GE(executor.stats().degraded_frames, 3);
   EXPECT_EQ(executor.stats().dropped_frames, 0);
-}
-
-TEST(Executor, AdaptDisabledKeepsSerialPlan) {
-  ExecutorConfig exec_config;
-  exec_config.deadline_ms = 0.3;  // tight, but adaptation is off
-  exec_config.adapt = false;
-  exec_config.worker_threads = 4;
-  Executor executor(heavy_config(8), exec_config);
-  const std::vector<ExecutedFrame> frames = executor.run(4);
-
-  for (const ExecutedFrame& f : frames) {
-    EXPECT_EQ(f.plan, app::serial_plan());
-    EXPECT_FALSE(f.repartitioned);
-  }
-  EXPECT_EQ(executor.stats().repartitions, 0);
 }
 
 TEST(Executor, ValidatesGraphAtStartup) {
@@ -260,10 +274,10 @@ TEST(Executor, ObsOnRunLongerThanTheRingsStaysBounded) {
   obs::global().clear();
 }
 
-// End-to-end diagnostics: a load spike the predictors never trained on
-// makes frames miss the deadline; the drift monitor alarms, a re-train is
-// forced, and a post-mortem bundle lands on disk and parses.
-TEST(Executor, LoadSpikeProducesPostmortemBundleAndRetrain) {
+// End-to-end diagnostics: a load spike the predictor never learnt makes
+// frames miss the deadline; the monitors alarm and a post-mortem bundle
+// lands on disk and parses.
+TEST(Executor, LoadSpikeProducesPostmortemBundle) {
   namespace fs = std::filesystem;
   const fs::path dir =
       fs::temp_directory_path() / "tc_executor_diag_postmortems";
@@ -290,7 +304,6 @@ TEST(Executor, LoadSpikeProducesPostmortemBundleAndRetrain) {
   EXPECT_GT(stats.deadline_misses, 0);
   EXPECT_GT(stats.postmortems, 0);
   EXPECT_GT(stats.drift_alerts + stats.slo_breaches, 0);
-  EXPECT_EQ(stats.retrains, stats.drift_alerts);  // retrain_on_drift default
 
   ASSERT_NE(executor.postmortem_writer(), nullptr);
   const std::string path = executor.postmortem_writer()->last_path();
@@ -308,7 +321,7 @@ TEST(Executor, LoadSpikeProducesPostmortemBundleAndRetrain) {
   fs::remove_all(dir);
 }
 
-TEST(Executor, ManualPostmortemAndForcedRetrain) {
+TEST(Executor, ManualPostmortemBypassesRateLimit) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::temp_directory_path() / "tc_executor_manual_pm";
   fs::remove_all(dir);
@@ -317,18 +330,9 @@ TEST(Executor, ManualPostmortemAndForcedRetrain) {
   exec_config.deadline_ms = 5.0;
   exec_config.worker_threads = 2;
   exec_config.diagnostics.enabled = true;
-  // No automatic re-training: this test drives force_retrain() by hand, so
-  // drift alerts (plentiful with a 5 ms deadline on a loaded box) must not
-  // reset the Markov chain behind its back.
-  exec_config.diagnostics.retrain_on_drift = false;
   exec_config.diagnostics.postmortem.directory = dir.string();
   Executor executor(heavy_config(12), exec_config);
   executor.run(10);
-
-  ASSERT_TRUE(executor.frame_markov().fitted());
-  executor.force_retrain(10);
-  EXPECT_FALSE(executor.frame_markov().fitted());
-  EXPECT_EQ(executor.stats().retrains, 1);
 
   // An explicit request bypasses the frame rate limit.
   const std::string path = executor.write_postmortem("operator_request");
@@ -505,7 +509,6 @@ TEST(ExecutorLedger, PostmortemBundleEmbedsRecentLedgerRows) {
   exec_config.deadline_ms = 5.0;
   exec_config.worker_threads = 2;
   exec_config.ledger.enabled = true;
-  exec_config.postmortem_ledger_rows = 8;
   exec_config.diagnostics.enabled = true;
   exec_config.diagnostics.postmortem.directory = dir.string();
   Executor executor(small_config(8), exec_config);
@@ -520,7 +523,7 @@ TEST(ExecutorLedger, PostmortemBundleEmbedsRecentLedgerRows) {
   const common::JsonValue& ledger = root.get("ledger");
   ASSERT_TRUE(ledger.is_array());
   ASSERT_GT(ledger.size(), 0u);
-  ASSERT_LE(ledger.size(), 8u);
+  ASSERT_LE(ledger.size(), 32u);  // the bundle embeds the most recent rows
   EXPECT_GE(ledger.at(0).number_or("frame", -1), 0.0);
   EXPECT_EQ(ledger.at(ledger.size() - 1).number_or("frame", -1), 7.0);
 

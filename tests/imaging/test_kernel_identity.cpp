@@ -4,6 +4,7 @@
 // (Image::operator==), since the kernels promise the same arithmetic in the
 // same order for every output pixel.
 
+#include <array>
 #include <cmath>
 #include <vector>
 
@@ -493,6 +494,41 @@ TEST(RidgeBandScratch, PlanesCoverTheBandNotTheFrame) {
   ridge_detect_rows(im, im.full_rect(), RidgeParams{}, response, blobness,
                     IndexRange{0, 64}, dominant, work, &scratch);
   EXPECT_EQ(scratch.smooth.height(), 64);
+}
+
+TEST(RidgeBandScratch, EnsureForSizesExactlyTheCallsBand) {
+  // A caller that sizes the scratch with ensure_for (on its own thread)
+  // leaves ridge_detect_rows nothing to reshape or reallocate.
+  const ImageF32 im = ridge_frame(72, 64, 10);
+  for (Rect roi : {Rect{0, 0, 72, 64}, Rect{12, 34, 40, 30},
+                   Rect{20, 20, 9, 5}}) {
+    const Rect r = clamp_rect(roi, im.width(), im.height());
+    for (i32 stripes = 1; stripes <= 5; ++stripes) {
+      for (IndexRange rows : stripe_split(r.y, r.y + r.h, stripes)) {
+        RidgeScratch scratch;
+        scratch.ensure_for(im, r, rows);
+        const std::array<const ImageF32*, 6> planes = {
+            &scratch.smooth,  &scratch.resp_local, &scratch.blob_local,
+            &scratch.hess.xx, &scratch.hess.xy,    &scratch.hess.yy};
+        std::array<const f32*, 6> data{};
+        std::array<i32, 6> height{};
+        for (usize i = 0; i < planes.size(); ++i) {
+          data[i] = planes[i]->data();
+          height[i] = planes[i]->height();
+        }
+        ImageF32 response(72, 64, 0.0f);
+        ImageF32 blobness(72, 64, 0.0f);
+        u64 dominant = 0;
+        WorkReport work;
+        ridge_detect_rows(im, r, RidgeParams{}, response, blobness, rows,
+                          dominant, work, &scratch);
+        for (usize i = 0; i < planes.size(); ++i) {
+          EXPECT_EQ(planes[i]->data(), data[i]) << "plane " << i;
+          EXPECT_EQ(planes[i]->height(), height[i]) << "plane " << i;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// Integration test: the runtime manager's observability hooks must agree
-// with the values computed by tripleC/accuracy and with the frames the
-// manager actually returned.
+// Integration test: the Triple-C loop's observability hooks (exec::Executor
+// on the simulated source) must agree with the values computed by
+// tripleC/accuracy and with the frames the loop actually returned.
 #include <algorithm>
 #include <cmath>
 #include <string>
@@ -11,10 +11,10 @@
 #include "common/json.hpp"
 #include "obs/exporters.hpp"
 #include "obs/obs.hpp"
-#include "runtime/manager.hpp"
+#include "exec/executor.hpp"
 #include "tripleC/accuracy.hpp"
 
-namespace tc::rt {
+namespace tc::exec {
 namespace {
 
 app::StentBoostConfig test_config(u64 seed = 77) {
@@ -43,6 +43,16 @@ model::GraphPredictor trained_predictor(const app::StentBoostConfig& base) {
   }
   gp.train(seqs);
   return gp;
+}
+
+ExecutorConfig sim_config(i32 warmup_frames) {
+  ExecutorConfig ec;
+  ec.source = MeasurementSource::Simulated;
+  ec.policy = DeadlinePolicy::Run;
+  ec.warmup_frames = warmup_frames;
+  ec.deadline_headroom = 1.10;
+  ec.worker_threads = 2;
+  return ec;
 }
 
 /// Enables the global observability context for the test body and restores
@@ -93,37 +103,33 @@ class ObsRuntimeTest : public ::testing::Test {
 
 TEST_F(ObsRuntimeTest, MetricsMatchManagedFramesAndAccuracyReport) {
   app::StentBoostConfig c = test_config();
-  app::StentBoostApp app(c);
-  model::GraphPredictor gp = trained_predictor(c);
-  ManagerConfig mc;
-  mc.warmup_frames = 8;
-  RuntimeManager mgr(app, gp, mc);
+  constexpr i32 kWarmup = 8;
+  Executor loop(c, sim_config(kWarmup), trained_predictor(c));
 
   constexpr i32 kFrames = 80;
-  std::vector<ManagedFrame> frames;
+  std::vector<ExecutedFrame> frames;
   std::vector<f64> predicted;
   std::vector<f64> measured;
   for (i32 t = 0; t < kFrames; ++t) {
-    frames.push_back(mgr.step(t));
-    predicted.push_back(frames.back().predicted_latency_ms);
-    measured.push_back(frames.back().measured_latency_ms);
+    frames.push_back(loop.step(t));
+    predicted.push_back(frames.back().predicted_ms);
+    measured.push_back(frames.back().measured_ms);
   }
 
   EXPECT_DOUBLE_EQ(counter_value("tripleC_frames_total"),
                    static_cast<f64>(kFrames));
   EXPECT_EQ(obs::global().frames.size(), static_cast<usize>(kFrames));
 
-  // Budget misses recounted from the frames the manager returned.  Warm-up
-  // frames (budget not yet set) never count.
+  // Deadline misses recounted from the frames the loop returned.  Warm-up
+  // frames (deadline not yet set) never count.
   f64 expected_misses = 0.0;
   for (i32 t = 0; t < kFrames; ++t) {
-    if (t >= mc.warmup_frames &&
-        frames[static_cast<usize>(t)].measured_latency_ms >
-            mgr.latency_budget_ms()) {
+    if (t >= kWarmup &&
+        frames[static_cast<usize>(t)].measured_ms > loop.deadline_ms()) {
       expected_misses += 1.0;
     }
   }
-  EXPECT_DOUBLE_EQ(counter_value("tripleC_budget_miss_total"),
+  EXPECT_DOUBLE_EQ(counter_value("tripleC_deadline_miss_total"),
                    expected_misses);
 
   // The per-frame error histogram uses the exact formula and skip rule of
@@ -141,18 +147,13 @@ TEST_F(ObsRuntimeTest, MetricsMatchManagedFramesAndAccuracyReport) {
   EXPECT_NEAR(gauge_value("tripleC_accuracy_mean_pct"), acc.mean_accuracy_pct,
               1e-12);
 
-  EXPECT_NEAR(gauge_value("tripleC_latency_budget_ms"),
-              mgr.latency_budget_ms(), 1e-12);
+  EXPECT_NEAR(gauge_value("tripleC_deadline_ms"), loop.deadline_ms(), 1e-12);
 }
 
 TEST_F(ObsRuntimeTest, TracerHoldsFrameTaskSpansAndExportsAreWellFormed) {
   app::StentBoostConfig c = test_config(31);
-  app::StentBoostApp app(c);
-  model::GraphPredictor gp = trained_predictor(c);
-  ManagerConfig mc;
-  mc.warmup_frames = 5;
-  RuntimeManager mgr(app, gp, mc);
-  for (i32 t = 0; t < 20; ++t) (void)mgr.step(t);
+  Executor loop(c, sim_config(5), trained_predictor(c));
+  for (i32 t = 0; t < 20; ++t) (void)loop.step(t);
 
   obs::ObsContext& ctx = obs::global();
   ASSERT_GT(ctx.flight.size(), 0u);
@@ -193,10 +194,8 @@ TEST_F(ObsRuntimeTest, TracerHoldsFrameTaskSpansAndExportsAreWellFormed) {
 TEST_F(ObsRuntimeTest, DisabledObservabilityRecordsNothing) {
   obs::set_enabled(false);
   app::StentBoostConfig c = test_config(55);
-  app::StentBoostApp app(c);
-  model::GraphPredictor gp = trained_predictor(c);
-  RuntimeManager mgr(app, gp, ManagerConfig{});
-  for (i32 t = 0; t < 12; ++t) (void)mgr.step(t);
+  Executor loop(c, sim_config(10), trained_predictor(c));
+  for (i32 t = 0; t < 12; ++t) (void)loop.step(t);
   // Instruments registered by earlier (enabled) tests survive clear() by
   // design; with the layer disabled none of them may accumulate values.
   for (const auto& e : obs::global().metrics.entries()) {
@@ -217,4 +216,4 @@ TEST_F(ObsRuntimeTest, DisabledObservabilityRecordsNothing) {
 }
 
 }  // namespace
-}  // namespace tc::rt
+}  // namespace tc::exec

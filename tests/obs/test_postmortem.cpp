@@ -29,13 +29,9 @@ PostmortemContext make_context() {
   ctx.plan = "acq:2|proc:4";
   ctx.quality_level = 1;
   ctx.scenario = 3;
-  ctx.predictors.markov_fitted = true;
-  ctx.predictors.markov_states = 6;
-  ctx.predictors.last_serial_total_ms = 18.0;
-  ctx.predictors.markov_predicted_next_ms = 17.5;
   ctx.predictors.nodes.push_back({"acq", 4.5, true});
   ctx.predictors.nodes.push_back({"ridge", 9.75, false});
-  ctx.predictors.drift_errors_pct.emplace_back("markov_corrected", 12.5);
+  ctx.predictors.drift_errors_pct.emplace_back("frame_latency", 12.5);
   ctx.extra.emplace_back("policy", "degrade");
   return ctx;
 }
@@ -66,16 +62,13 @@ TEST(BundleJson, ProducesParseableSelfContainedDocument) {
   EXPECT_EQ(root.get("extra").string_or("policy", ""), "degrade");
 
   const JsonValue& predictors = root.get("predictors");
-  EXPECT_TRUE(predictors.get("markov_fitted").as_bool());
-  EXPECT_EQ(static_cast<i32>(predictors.number_or("markov_states", 0)), 6);
   EXPECT_DOUBLE_EQ(
-      predictors.get("drift_errors_pct").number_or("markov_corrected", 0),
-      12.5);
+      predictors.get("drift_errors_pct").number_or("frame_latency", 0), 12.5);
   const JsonValue& nodes = predictors.get("nodes");
   ASSERT_EQ(nodes.size(), 2u);
   EXPECT_EQ(nodes.at(0).string_or("name", ""), "acq");
-  EXPECT_DOUBLE_EQ(nodes.at(1).number_or("ewma_ms", 0), 9.75);
-  EXPECT_FALSE(nodes.at(1).get("primed").as_bool());
+  EXPECT_DOUBLE_EQ(nodes.at(1).number_or("predicted_ms", 0), 9.75);
+  EXPECT_FALSE(nodes.at(1).get("active").as_bool());
 
   const JsonValue& embedded = root.get("events");
   ASSERT_EQ(embedded.size(), 2u);

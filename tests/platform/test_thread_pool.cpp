@@ -1,7 +1,9 @@
 #include "platform/thread_pool.hpp"
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 #if defined(__linux__)
 #include <sched.h>
 #endif
@@ -162,6 +164,77 @@ TEST(ThreadPool, DefaultThreadCountAtLeastOne) {
   EXPECT_GE(pool.thread_count(), 1u);
 }
 
+TEST(ThreadPool, DefaultThreadCountFollowsTheAffinityMask) {
+  ThreadPool pool;
+  EXPECT_EQ(pool.thread_count(), static_cast<usize>(affinity_cores()));
+}
+
+TEST(ThreadPool, BatchWaitsOnlyForItsOwnJobs) {
+  // A 1 ms batch submitted while another caller's 200 ms job occupies one
+  // of two workers must not wait for that job.
+  using namespace std::chrono_literals;
+  ThreadPool pool(2);
+  std::atomic<bool> long_job_running{false};
+  std::thread other([&] {
+    pool.run_all({[&] {
+      long_job_running = true;
+      std::this_thread::sleep_for(200ms);
+    }});
+  });
+  while (!long_job_running) std::this_thread::yield();
+  const auto start = std::chrono::steady_clock::now();
+  pool.run_all({[] { std::this_thread::sleep_for(1ms); }});
+  const auto waited = std::chrono::steady_clock::now() - start;
+  other.join();
+  EXPECT_LT(waited, 50ms);
+}
+
+TEST(ThreadPool, NestedRunAllFromAJobCompletes) {
+  // Every worker fans out again from inside a job; the nested batches run
+  // inline instead of waiting for the (busy) workers.
+  ThreadPool pool(2);
+  std::atomic<i32> inner{0};
+  std::vector<std::function<void()>> jobs;
+  for (i32 j = 0; j < 4; ++j) {
+    jobs.emplace_back([&] {
+      pool.parallel_ranges(8, 4, [&](i32, IndexRange r) {
+        inner.fetch_add(r.hi - r.lo);
+      });
+    });
+  }
+  pool.run_all(std::move(jobs));
+  EXPECT_EQ(inner.load(), 32);
+}
+
+TEST(ThreadPool, ParallelRangesCapsConcurrencyKeepingChunks) {
+  ThreadPool pool(4);
+  for (const i32 cap : {1, 2, 3}) {
+    std::atomic<i32> active{0};
+    std::atomic<i32> peak{0};
+    std::vector<i32> seen(8, 0);
+    std::vector<IndexRange> ranges(8);
+    pool.parallel_ranges(
+        100, 8,
+        [&](i32 chunk, IndexRange r) {
+          const i32 now = active.fetch_add(1) + 1;
+          i32 prev = peak.load();
+          while (now > prev && !peak.compare_exchange_weak(prev, now)) {
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(3));
+          seen[static_cast<usize>(chunk)] += 1;
+          ranges[static_cast<usize>(chunk)] = r;
+          active.fetch_sub(1);
+        },
+        cap);
+    EXPECT_LE(peak.load(), cap) << "cap " << cap;
+    for (i32 c = 0; c < 8; ++c) {
+      EXPECT_EQ(seen[static_cast<usize>(c)], 1) << "chunk " << c;
+      EXPECT_EQ(ranges[static_cast<usize>(c)].lo, even_chunk(100, 8, c).lo);
+      EXPECT_EQ(ranges[static_cast<usize>(c)].hi, even_chunk(100, 8, c).hi);
+    }
+  }
+}
+
 TEST(ThreadPool, UnpinnedPoolReportsNotPinned) {
   ThreadPool pool(2);
   EXPECT_FALSE(pool.pinned());
@@ -187,7 +260,15 @@ TEST(ThreadPool, PinnedPoolStillExecutesCorrectly) {
 
 #if defined(__linux__)
 TEST(ThreadPool, PinnedWorkersRunOnTheirAssignedCores) {
-  const usize cores = std::thread::hardware_concurrency();
+  // Worker i is pinned to the (i mod n)-th of the n cores in the mask.
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(mask), &mask), 0);
+  std::vector<i32> allowed;
+  for (i32 cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &mask)) allowed.push_back(cpu);
+  }
+  const usize cores = allowed.size();
   ThreadPool pool(2, /*pin_threads=*/true);
   ASSERT_TRUE(pool.pinned());
   std::vector<i32> cpu_of_job;
@@ -201,12 +282,11 @@ TEST(ThreadPool, PinnedWorkersRunOnTheirAssignedCores) {
     });
   }
   pool.run_all(std::move(jobs));
-  // Worker i is pinned to core i mod cores: with 2 workers every job must
-  // observe a cpu in {0 mod cores, 1 mod cores}.
+  // With 2 workers every job must observe one of the mask's first two
+  // cores (the same one twice on a 1-core mask).
   for (const i32 cpu : cpu_of_job) {
     ASSERT_GE(cpu, 0);
-    EXPECT_TRUE(cpu == 0 % static_cast<i32>(cores) ||
-                cpu == 1 % static_cast<i32>(cores))
+    EXPECT_TRUE(cpu == allowed[0 % cores] || cpu == allowed[1 % cores])
         << "job ran on cpu " << cpu;
   }
 }

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "runtime/manager.hpp"
-#include "tripleC/graph_predictor.hpp"
+#include "app/stentboost.hpp"
+
 
 namespace tc::rt {
 namespace {
@@ -70,8 +70,8 @@ TEST(Qos, DegradeForecastScalesAffectedNodes) {
 
 TEST(Qos, GenerousBudgetStaysAtFullQuality) {
   plat::CostParams params;
-  QosDecision d = choose_quality_and_plan(params, heavy_forecast(), 200.0, 4, 8);
-  EXPECT_EQ(d.level.level, 0);
+  QualityPlan d = walk_quality_ladder(params, heavy_forecast(), 200.0, 4, 8, 0);
+  EXPECT_EQ(d.level, 0);
   EXPECT_TRUE(d.plan.fits_budget);
   EXPECT_EQ(d.plan.plan, app::serial_plan());
 }
@@ -79,8 +79,8 @@ TEST(Qos, GenerousBudgetStaysAtFullQuality) {
 TEST(Qos, ModerateBudgetParallelizesBeforeDegrading) {
   plat::CostParams params;
   // 50 ms: reachable with stripes at full quality.
-  QosDecision d = choose_quality_and_plan(params, heavy_forecast(), 50.0, 4, 8);
-  EXPECT_EQ(d.level.level, 0);
+  QualityPlan d = walk_quality_ladder(params, heavy_forecast(), 50.0, 4, 8, 0);
+  EXPECT_EQ(d.level, 0);
   EXPECT_TRUE(d.plan.fits_budget);
   EXPECT_NE(d.plan.plan, app::serial_plan());
 }
@@ -88,15 +88,15 @@ TEST(Qos, ModerateBudgetParallelizesBeforeDegrading) {
 TEST(Qos, TightBudgetDegradesQuality) {
   plat::CostParams params;
   // 22 ms is below what 4-way striping of the full-quality graph achieves.
-  QosDecision d = choose_quality_and_plan(params, heavy_forecast(), 22.0, 4, 8);
-  EXPECT_GT(d.level.level, 0);
+  QualityPlan d = walk_quality_ladder(params, heavy_forecast(), 22.0, 4, 8, 0);
+  EXPECT_GT(d.level, 0);
   EXPECT_TRUE(d.plan.fits_budget);
 }
 
 TEST(Qos, ImpossibleBudgetReturnsLowestQualityWidestPlan) {
   plat::CostParams params;
-  QosDecision d = choose_quality_and_plan(params, heavy_forecast(), 0.5, 4, 8);
-  EXPECT_EQ(d.level.level,
+  QualityPlan d = walk_quality_ladder(params, heavy_forecast(), 0.5, 4, 8, 0);
+  EXPECT_EQ(d.level,
             static_cast<i32>(quality_ladder().size()) - 1);
   EXPECT_FALSE(d.plan.fits_budget);
 }
@@ -105,88 +105,24 @@ TEST(Qos, DecisionLatencyMonotoneInBudget) {
   plat::CostParams params;
   f64 prev_level = 1e9;
   for (f64 budget : {15.0, 25.0, 40.0, 80.0, 200.0}) {
-    QosDecision d =
-        choose_quality_and_plan(params, heavy_forecast(), budget, 4, 8);
-    EXPECT_LE(static_cast<f64>(d.level.level), prev_level)
+    QualityPlan d =
+        walk_quality_ladder(params, heavy_forecast(), budget, 4, 8, 0);
+    EXPECT_LE(static_cast<f64>(d.level), prev_level)
         << "budget " << budget;
-    prev_level = static_cast<f64>(d.level.level);
+    prev_level = static_cast<f64>(d.level);
   }
 }
 
-// ---------------------------------------------------------------------------
-// Integration: the manager with QoS enabled meets an otherwise-impossible
-// budget by degrading, and restores quality when the budget allows.
-// ---------------------------------------------------------------------------
-
-app::StentBoostConfig qos_config() {
-  app::StentBoostConfig c = app::StentBoostConfig::make(128, 128, 80, 31);
-  c.force_full_frame = true;  // keep the expensive full-frame path active
-  c.sequence.contrast_in_frame = 0;
-  return c;
-}
-
-model::GraphPredictor quick_predictor(const app::StentBoostConfig& base) {
-  std::vector<std::vector<graph::FrameRecord>> seqs;
-  app::StentBoostConfig c = base;
-  c.sequence.seed = 404;
-  app::StentBoostApp app(c);
-  seqs.push_back(app.run(40));
-  model::GraphPredictor gp(app::kNodeCount, app::kSwitchCount);
-  gp.train(seqs);
-  return gp;
-}
-
-TEST(QosManager, DegradesUnderImpossibleBudget) {
-  app::StentBoostConfig c = qos_config();
-  app::StentBoostApp app(c);
-  model::GraphPredictor gp = quick_predictor(c);
-  ManagerConfig mc;
-  mc.latency_budget_ms = 25.0;  // unreachable at full quality
-  mc.enable_qos = true;
-  RuntimeManager mgr(app, gp, mc);
-  bool degraded = false;
-  for (i32 t = 0; t < 20; ++t) {
-    ManagedFrame f = mgr.step(t);
-    if (f.quality_level > 0) degraded = true;
-  }
-  EXPECT_TRUE(degraded);
-  // The app-level knobs were actually applied.
-  EXPECT_TRUE(app.quality_extra_decimation() > 1 ||
-              app.quality_skip_guidewire() ||
-              app.quality_zoom_divisor() > 1);
-}
-
-TEST(QosManager, FullQualityRestoredWithGenerousBudget) {
-  app::StentBoostConfig c = qos_config();
-  app::StentBoostApp app(c);
-  model::GraphPredictor gp = quick_predictor(c);
-  ManagerConfig mc;
-  mc.latency_budget_ms = 500.0;
-  mc.enable_qos = true;
-  RuntimeManager mgr(app, gp, mc);
-  for (i32 t = 0; t < 10; ++t) {
-    ManagedFrame f = mgr.step(t);
-    EXPECT_EQ(f.quality_level, 0) << "frame " << t;
-  }
-  EXPECT_EQ(app.quality_extra_decimation(), 1);
-  EXPECT_FALSE(app.quality_skip_guidewire());
-}
-
-TEST(QosManager, DegradedRunStillMeetsBudgetMostFrames) {
-  app::StentBoostConfig c = qos_config();
-  app::StentBoostApp app(c);
-  model::GraphPredictor gp = quick_predictor(c);
-  ManagerConfig mc;
-  mc.latency_budget_ms = 30.0;
-  mc.enable_qos = true;
-  RuntimeManager mgr(app, gp, mc);
-  i32 within = 0;
-  const i32 frames = 30;
-  for (i32 t = 0; t < frames; ++t) {
-    ManagedFrame f = mgr.step(t);
-    if (f.measured_latency_ms <= mc.latency_budget_ms * 1.15) ++within;
-  }
-  EXPECT_GT(within, frames * 3 / 5);
+TEST(Qos, WalkStartsAtTheGivenLevelAndNeverRecovers) {
+  plat::CostParams params;
+  // Even a generous budget keeps the starting level: lifting quality is the
+  // caller's hysteresis decision, not the walk's.
+  QualityPlan d = walk_quality_ladder(params, heavy_forecast(), 200.0, 4, 8, 2);
+  EXPECT_EQ(d.level, 2);
+  EXPECT_TRUE(d.plan.fits_budget);
+  // An out-of-range start clamps to the ladder.
+  d = walk_quality_ladder(params, heavy_forecast(), 200.0, 4, 8, 99);
+  EXPECT_EQ(d.level, static_cast<i32>(quality_ladder().size()) - 1);
 }
 
 }  // namespace

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
+#include <algorithm>
+
 #include "graph/scenario.hpp"
+#include "snapshot_fixture.hpp"
 
 namespace tc::serve {
 namespace {
@@ -58,19 +65,16 @@ TEST(EstimateDemand, ColdProbePricesTheStream) {
 
 TEST(EstimateDemand, WarmSnapshotSkipsTheProbe) {
   AdmissionController ctrl = make_controller();
-  exec::PredictorSnapshot snap;
-  snap.trained_frames = 32;
-  snap.node_primed[0] = true;
-  snap.node_serial_ms[0] = 4.0;
-  snap.node_primed[1] = true;
-  snap.node_serial_ms[1] = 2.0;
+  exec::PredictorSnapshot snap =
+      learnt_snapshot(32, {{app::kRdgFull, 4.0}, {app::kMkxFull, 2.0}});
   snap.bus_mb_per_frame = {1.0, 2.0, 0.5};
 
   const StreamDemand d =
       ctrl.estimate_demand(small_app(), /*deadline_ms=*/60.0,
                            /*max_stripes_per_task=*/4, &snap);
   EXPECT_TRUE(d.warm);
-  // Unfitted Markov chain: mean_frame_ms falls back to the node sum.
+  // The snapshot's expected scenario runs RDG_FULL and MKX_FULL (the only
+  // nodes it learnt): their predictions sum to the frame cost.
   EXPECT_NEAR(d.frame_ms, 6.0, 1e-9);
   EXPECT_NEAR(d.bus_mb_per_frame[1], 2.0, 1e-9);
   EXPECT_NEAR(d.memory_bus_mbps, 2.0 * 1000.0 / 60.0, 1e-9);
@@ -95,10 +99,38 @@ TEST(Decide, InfeasiblePlanRejectsEvenWithIdleCapacity) {
 
 TEST(Decide, DemandBeyondTotalCapacityRejects) {
   AdmissionController ctrl = make_controller(/*pool_threads=*/4);
-  // 4 threads x 0.85 headroom = 3.4 cores of capacity.
-  EXPECT_EQ(ctrl.decide(feasible_demand(3.5)).verdict,
+  // 4 threads (or fewer cores in the affinity mask) x 0.85 headroom; 3.4
+  // cores on a host with at least 4 cores.
+  const f64 capacity = ctrl.capacity_cores();
+  EXPECT_NEAR(capacity, std::min(4, plat::affinity_cores()) * 0.85, 1e-12);
+  EXPECT_EQ(ctrl.decide(feasible_demand(capacity + 0.1)).verdict,
             AdmissionVerdict::Reject);
-  EXPECT_EQ(ctrl.decide(feasible_demand(3.0)).verdict, AdmissionVerdict::Admit);
+  EXPECT_EQ(ctrl.decide(feasible_demand(capacity - 0.4)).verdict,
+            AdmissionVerdict::Admit);
+}
+
+TEST(Decide, CapacityCappedByTheAffinityMask) {
+#if defined(__linux__)
+  // Restrict this thread to one core: a 4-thread pool then prices only one
+  // core of capacity.  The mask is restored before any assertion.
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  i32 first = 0;
+  while (!CPU_ISSET(first, &saved)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const f64 restricted = make_controller(/*pool_threads=*/4).capacity_cores();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_NEAR(restricted, 1.0 * 0.85, 1e-12);
+  // Restored: the pool's threads bound it again (4-core host: 3.4 cores).
+  EXPECT_NEAR(make_controller(/*pool_threads=*/4).capacity_cores(),
+              std::min(4, plat::affinity_cores()) * 0.85, 1e-12);
+#else
+  GTEST_SKIP() << "affinity masks are Linux-only";
+#endif
 }
 
 TEST(Decide, BusSaturationRejectsAloneQueuesAgainstResidual) {
@@ -117,20 +149,22 @@ TEST(Decide, BusSaturationRejectsAloneQueuesAgainstResidual) {
 
 TEST(Decide, QueueWhenResidualExhaustedAdmitAfterRelease) {
   AdmissionController ctrl = make_controller(/*pool_threads=*/4);
-  const StreamDemand two_cores = feasible_demand(2.0);
-  EXPECT_EQ(ctrl.decide(two_cores).verdict, AdmissionVerdict::Admit);
-  ctrl.commit(two_cores);
+  // 2 of 3.4 cores on a host with at least 4 cores.
+  const f64 share = ctrl.capacity_cores() * (2.0 / 3.4);
+  const StreamDemand big = feasible_demand(share);
+  EXPECT_EQ(ctrl.decide(big).verdict, AdmissionVerdict::Admit);
+  ctrl.commit(big);
   EXPECT_EQ(ctrl.admitted_streams(), 1);
-  EXPECT_NEAR(ctrl.committed_cores(), 2.0, 1e-9);
+  EXPECT_NEAR(ctrl.committed_cores(), share, 1e-9);
 
-  // Residual is 1.4 cores: a second 2-core stream fits an idle server but
-  // not this one -> Queue, not Reject.
-  EXPECT_EQ(ctrl.decide(two_cores).verdict, AdmissionVerdict::Queue);
+  // The residual is smaller than the stream: a second one fits an idle
+  // server but not this one -> Queue, not Reject.
+  EXPECT_EQ(ctrl.decide(big).verdict, AdmissionVerdict::Queue);
 
-  ctrl.release(two_cores);
+  ctrl.release(big);
   EXPECT_EQ(ctrl.admitted_streams(), 0);
   EXPECT_NEAR(ctrl.committed_cores(), 0.0, 1e-9);
-  EXPECT_EQ(ctrl.decide(two_cores).verdict, AdmissionVerdict::Admit);
+  EXPECT_EQ(ctrl.decide(big).verdict, AdmissionVerdict::Admit);
 }
 
 TEST(Decide, ReleaseFloorsAtZero) {

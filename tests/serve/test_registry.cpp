@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <thread>
 #include <vector>
+
+#include "snapshot_fixture.hpp"
 
 namespace tc::serve {
 namespace {
@@ -12,12 +15,12 @@ app::StentBoostConfig app_config(i32 size = 128) {
   return app::StentBoostConfig::make(size, size, /*frames=*/8, /*seed=*/3);
 }
 
-exec::PredictorSnapshot trained_snapshot(u64 frames, f64 node0_ms = 5.0) {
-  exec::PredictorSnapshot snap;
-  snap.trained_frames = frames;
-  snap.node_primed[0] = true;
-  snap.node_serial_ms[0] = node0_ms;
-  return snap;
+exec::PredictorSnapshot trained_snapshot(u64 frames, f64 rdg_ms = 5.0) {
+  return learnt_snapshot(frames, {{app::kRdgFull, rdg_ms}});
+}
+
+f64 rdg_ms(const std::optional<exec::PredictorSnapshot>& snap) {
+  return snap->predictor.predict_task(app::kRdgFull);
 }
 
 TEST(ClassKey, EncodesGeometryAndPipelineFacets) {
@@ -49,7 +52,7 @@ TEST(PredictorRegistry, LookupMissThenHitTracksCounters) {
   const auto snap = reg.lookup("128x128");
   ASSERT_TRUE(snap.has_value());
   EXPECT_EQ(snap->trained_frames, 16u);
-  EXPECT_NEAR(snap->node_serial_ms[0], 5.0, 1e-12);
+  EXPECT_NEAR(rdg_ms(snap), 5.0, 1e-12);
   EXPECT_EQ(reg.hits(), 1u);
 }
 
@@ -62,14 +65,14 @@ TEST(PredictorRegistry, UntrainedSnapshotsAreDropped) {
 
 TEST(PredictorRegistry, BetterTrainedSnapshotReplacesWorse) {
   PredictorRegistry reg;
-  reg.publish("k", trained_snapshot(10, /*node0_ms=*/1.0));
-  reg.publish("k", trained_snapshot(50, /*node0_ms=*/2.0));
+  reg.publish("k", trained_snapshot(10, /*rdg_ms=*/1.0));
+  reg.publish("k", trained_snapshot(50, /*rdg_ms=*/2.0));
   EXPECT_EQ(reg.size(), 1u);
-  EXPECT_NEAR(reg.lookup("k")->node_serial_ms[0], 2.0, 1e-12);
+  EXPECT_NEAR(rdg_ms(reg.lookup("k")), 2.0, 1e-12);
 
   // A less-trained snapshot must not clobber the stored one.
-  reg.publish("k", trained_snapshot(5, /*node0_ms=*/9.0));
-  EXPECT_NEAR(reg.lookup("k")->node_serial_ms[0], 2.0, 1e-12);
+  reg.publish("k", trained_snapshot(5, /*rdg_ms=*/9.0));
+  EXPECT_NEAR(rdg_ms(reg.lookup("k")), 2.0, 1e-12);
 }
 
 TEST(PredictorRegistry, ClassesAreIndependent) {
@@ -77,8 +80,8 @@ TEST(PredictorRegistry, ClassesAreIndependent) {
   reg.publish("a", trained_snapshot(10, 1.0));
   reg.publish("b", trained_snapshot(10, 2.0));
   EXPECT_EQ(reg.size(), 2u);
-  EXPECT_NEAR(reg.lookup("a")->node_serial_ms[0], 1.0, 1e-12);
-  EXPECT_NEAR(reg.lookup("b")->node_serial_ms[0], 2.0, 1e-12);
+  EXPECT_NEAR(rdg_ms(reg.lookup("a")), 1.0, 1e-12);
+  EXPECT_NEAR(rdg_ms(reg.lookup("b")), 2.0, 1e-12);
 }
 
 TEST(PredictorRegistry, ConcurrentPublishAndLookupStaySane) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "snapshot_fixture.hpp"
+
 namespace tc::serve {
 namespace {
 
@@ -95,10 +97,8 @@ TEST(StreamServer, QueuedStreamsPromoteAndFinish) {
   sc.pool_threads = 1;
   sc.max_concurrent_streams = 2;
   StreamServer server(sc);
-  exec::PredictorSnapshot snap;
-  snap.trained_frames = 64;
-  snap.node_primed[0] = true;
-  snap.node_serial_ms[0] = 4.0;
+  const exec::PredictorSnapshot snap =
+      learnt_snapshot(64, {{app::kRdgFull, 4.0}});
   server.registry().publish(
       PredictorRegistry::class_key(make_stream(1.0).app), snap);
   const f64 deadline = 8.0;

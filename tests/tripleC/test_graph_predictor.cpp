@@ -1,6 +1,8 @@
 #include "tripleC/graph_predictor.hpp"
 
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -120,6 +122,32 @@ TEST(GraphPredictor, MultipleSequencesSupported) {
 TEST(GraphPredictor, TaskCountAccessor) {
   GraphPredictor gp(10, 3);
   EXPECT_EQ(gp.task_count(), 10u);
+}
+
+TEST(GraphPredictor, ConstLookupsNeverCreatePredictors) {
+  // Task 1 never runs (every frame has switch 0 off): asking a const
+  // predictor about it predicts 0 ms and leaves no entry behind, also
+  // under a context function that names a context nothing was fed under.
+  GraphPredictor gp(2, 2);
+  PredictorConfig c;
+  c.kind = PredictorKind::Ewma;
+  gp.configure_task(0, c);
+  gp.configure_task(1, c);
+  gp.set_context_fn([](const graph::FrameRecord*, i32 node) {
+    return node == 0 ? 3u : 0u;
+  });
+  std::vector<graph::FrameRecord> seq = synth_sequence(60, 10);
+  for (usize k = 20; k < 40; ++k) gp.observe(seq[k]);
+
+  const GraphPredictor& view = gp;
+  EXPECT_EQ(view.predict_task(1), 0.0);
+  EXPECT_TRUE(view.contexts(1).empty());
+  EXPECT_THROW((void)view.task_predictor(1), std::out_of_range);
+  // Node 0 learnt under context 3 only; the untrained context predictor
+  // falls back to context 0, which does not exist either.
+  ASSERT_EQ(view.contexts(0), std::vector<u32>{3u});
+  EXPECT_EQ(view.predict_task(0), 0.0);
+  EXPECT_EQ(view.contexts(0), std::vector<u32>{3u});
 }
 
 }  // namespace

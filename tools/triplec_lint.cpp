@@ -33,7 +33,7 @@
 #include "analysis/rules.hpp"
 #include "app/stentboost.hpp"
 #include "runtime/audit_gate.hpp"
-#include "runtime/manager.hpp"
+#include "tripleC/graph_predictor.hpp"
 #include "tripleC/memory_model.hpp"
 
 using namespace tc;

@@ -96,15 +96,6 @@ void print_predictors(const JsonValue& root) {
   const JsonValue* p = root.find("predictors");
   if (p == nullptr || p->type() != JsonValue::Type::Object) return;
   std::printf("\nPredictor state\n");
-  std::printf("  markov fitted : %s (%" PRId64 " states)\n",
-              p->find("markov_fitted") != nullptr &&
-                      p->find("markov_fitted")->as_bool()
-                  ? "yes"
-                  : "no",
-              static_cast<i64>(p->number_or("markov_states", 0)));
-  std::printf("  last serial   : %.3f ms   markov next: %.3f ms\n",
-              p->number_or("last_serial_total_ms", 0),
-              p->number_or("markov_predicted_next_ms", 0));
   if (const JsonValue* drift = p->find("drift_errors_pct");
       drift != nullptr && drift->type() == JsonValue::Type::Object) {
     for (const auto& [name, v] : drift->members()) {
@@ -114,14 +105,15 @@ void print_predictors(const JsonValue& root) {
   }
   if (const JsonValue* nodes = p->find("nodes");
       nodes != nullptr && nodes->type() == JsonValue::Type::Array) {
-    std::printf("  node EWMA (serial-equivalent ms):\n");
+    std::printf("  node forecast (serial-equivalent ms):\n");
     for (usize i = 0; i < nodes->size(); ++i) {
       const JsonValue& n = nodes->at(i);
       std::printf("    %-10s %8.3f ms %s\n",
-                  n.string_or("name", "?").c_str(), n.number_or("ewma_ms", 0),
-                  n.find("primed") != nullptr && n.find("primed")->as_bool()
+                  n.string_or("name", "?").c_str(),
+                  n.number_or("predicted_ms", 0),
+                  n.find("active") != nullptr && n.find("active")->as_bool()
                       ? ""
-                      : "(unprimed)");
+                      : "(inactive)");
     }
   }
 }

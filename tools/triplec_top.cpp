@@ -1,7 +1,7 @@
 // triplec_top — a polling terminal dashboard over the live telemetry plane.
 //
 // Connects to a process running obs::TelemetryServer (serve_fleet
-// --telemetry-port, or any Executor/StreamServer with telemetry enabled),
+// --telemetry-port, or any StreamServer with ServeConfig::telemetry on),
 // polls /streams and /metrics, and renders a refreshing ASCII fleet view:
 // one row per stream (state, admission verdict, fair-share numbers, SLO
 // window, rolling CPU calibration) plus a headline of fleet gauges scraped
