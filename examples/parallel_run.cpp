@@ -1,6 +1,7 @@
 // Parallel execution quickstart — the concurrent executor running the
 // StentBoost graph for real, with live repartitioning and the full
-// diagnostics stack (flight recorder, drift/SLO monitors, post-mortems).
+// diagnostics stack (flight recorder, drift rule and SLO monitor,
+// post-mortems).
 //
 // The exec::Executor predicts each frame's host latency (one EWMA per node,
 // learnt online by model::GraphPredictor), picks a stripe plan that fits
@@ -14,8 +15,7 @@
 // On top of that, this run injects a load spike (a synthetic co-scheduled
 // interferer burning extra wall-clock milliseconds for a few frames mid-run)
 // that the predictors could not have seen coming.  The spiked frames miss
-// the deadline, the drift monitor notices the prediction error jump, and the
-// executor drops a post-mortem bundle — render it with
+// the deadline and the executor drops a post-mortem bundle — render it with
 //
 //   tools/triplec_postmortem parallel_run_postmortems/postmortem_*.json
 //
@@ -43,9 +43,7 @@ int main() {
   exec_config.deadline_headroom = 1.1; // tight: scenario swings force replans
   exec_config.policy = exec::DeadlinePolicy::Degrade;
   // Diagnostics: drift + SLO monitoring, bundles into a local directory.
-  exec_config.diagnostics.enabled = true;
-  exec_config.diagnostics.postmortem.directory = "parallel_run_postmortems";
-  exec_config.diagnostics.postmortem.max_events = 512;
+  exec_config.postmortem_dir = "parallel_run_postmortems";
   // The injected interferer: frames 60..63 each lose 12 ms of wall clock to
   // a "co-scheduled" busy loop the predictors never observe in training.
   exec_config.load_spike.start_frame = 60;

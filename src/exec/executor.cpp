@@ -43,8 +43,11 @@ constexpr usize kPostmortemLedgerRows = 32;
 /// Simulated frames that train the startup audit's throwaway predictor
 /// when the loop's own predictor is untrained.
 constexpr i32 kAuditTrainingFrames = 48;
-/// Name of the frame-latency drift stream.
+/// Name of the frame-latency drift window (metrics label, bundle key).
 constexpr const char* kFrameDriftStream = "frame_latency";
+/// Executor-only SLO on top of obs::deadline_slos: p99 - p50 jitter of the
+/// frame latency at most this fraction of the deadline.
+constexpr f64 kSloJitterFactor = 0.75;
 
 /// The loop's default predictor: one EWMA per node, learnt online.
 model::GraphPredictor online_ewma_predictor() {
@@ -150,15 +153,8 @@ Executor::Executor(app::StentBoostConfig app_config, ExecutorConfig config,
     deadline_ms_ = config_.deadline_ms;
     deadline_set_ = true;
   }
-  if (config_.diagnostics.enabled) {
-    obs::MetricsRegistry* metrics =
-        obs::enabled() ? &obs::global().metrics : nullptr;
-    drift_ = std::make_unique<obs::DriftMonitor>(config_.diagnostics.drift,
-                                                 metrics);
-    postmortem_ =
-        std::make_unique<obs::PostmortemWriter>(config_.diagnostics.postmortem);
-    // The SLO monitor waits for the deadline (thresholds derive from it);
-    // see run_diagnostics().
+  if (!config_.postmortem_dir.empty()) {
+    diag_ = std::make_unique<Diagnostics>(config_.postmortem_dir);
   }
   if (config_.ledger.enabled) {
     obs::LedgerConfig lc = config_.ledger;
@@ -367,27 +363,16 @@ void Executor::ledger_settle(const ExecutedFrame& result,
   }
   const std::vector<obs::LedgerRow> rows = ledger_->settle_frame(
       result.frame, record.scenario, result.measured_ms, actuals);
-  // Per-node drift streams: the settled CPU rows feed one DriftMonitor
-  // stream per node.  Alerts are counted and flight-recorded — a single
-  // node drifting is an attribution signal for the post-mortem.
-  if (drift_ == nullptr) return;
+  // Per-node drift: the drift rule over each scored node's CPU calibration
+  // window.  A single node drifting is an attribution signal for the
+  // post-mortem.
+  if (diag_ == nullptr) return;
   for (const obs::LedgerRow& row : rows) {
-    if (!row.has_pred(obs::LedgerResource::CpuMs) ||
-        !row.has_meas(obs::LedgerResource::CpuMs)) {
-      continue;
-    }
-    const std::string stream =
-        "node:" + std::string(app::node_name(row.node));
-    const auto cpu = static_cast<usize>(obs::LedgerResource::CpuMs);
-    if (auto a =
-            drift_->observe(stream, row.frame, row.pred[cpu], row.meas[cpu])) {
-      ++stats_.drift_alerts;
-      if (obs::enabled()) {
-        obs::global().flight.record(obs::FrEventType::DriftAlert, a->frame,
-                                    drift_->stream_index(a->stream),
-                                    a->statistic, a->threshold);
-      }
-    }
+    if (!row.error_pct(obs::LedgerResource::CpuMs).has_value()) continue;
+    (void)check_drift(
+        diag_->node_drift[static_cast<usize>(row.node)],
+        ledger_->node_calibration(row.node, obs::LedgerResource::CpuMs),
+        row.frame, row.node, "node:" + std::string(app::node_name(row.node)));
   }
 }
 
@@ -488,7 +473,7 @@ void Executor::settle_frame(ExecutedFrame& result,
   if (obs::enabled()) record_frame_observability(result, record);
   prev_plan_ = result.plan;
   last_frame_ = result;
-  if (config_.diagnostics.enabled) run_diagnostics(result);
+  if (diag_ != nullptr) run_diagnostics(result);
 }
 
 void Executor::record_frame_observability(const ExecutedFrame& f,
@@ -580,53 +565,57 @@ void Executor::record_frame_observability(const ExecutedFrame& f,
   }
 }
 
+bool Executor::check_drift(obs::DriftRule& rule,
+                           const obs::CalibrationWindow::Stats& s, i32 frame,
+                           i32 node, const std::string& predictor) {
+  const bool crossed = rule.crossed(s);
+  if (crossed) ++stats_.drift_alerts;
+  if (!obs::enabled()) return crossed;
+  obs::MetricsRegistry& m = obs::global().metrics;
+  const std::string labels = obs::label("predictor", predictor);
+  m.gauge("tripleC_drift_error_pct",
+          "Rolling mean |predicted-measured|/measured per predictor", labels)
+      .set(s.mean_ape_pct);
+  if (crossed) {
+    obs::global().flight.record(obs::FrEventType::DriftAlert, frame, node,
+                                s.mean_ape_pct, obs::DriftRule::kThresholdPct);
+    m.counter("tripleC_drift_alerts_total", "Drift alerts fired per predictor",
+              labels)
+        .add();
+  }
+  return crossed;
+}
+
 void Executor::run_diagnostics(const ExecutedFrame& f) {
+  Diagnostics& d = *diag_;
   // The SLO monitor is born the moment the deadline is known (its
   // thresholds are deadline-relative).
-  if (slo_ == nullptr && deadline_set_) {
-    const DiagnosticsConfig& d = config_.diagnostics;
-    std::vector<obs::SloSpec> specs;
-    obs::SloSpec miss;
-    miss.name = "deadline_miss_rate";
-    miss.kind = obs::SloKind::DeadlineMissRate;
-    miss.threshold = d.slo_miss_rate;
-    obs::SloSpec p99;
-    p99.name = "p99_latency_ms";
-    p99.kind = obs::SloKind::P99LatencyMs;
-    p99.threshold = deadline_ms_ * d.slo_p99_factor;
+  if (!d.slo.has_value() && deadline_set_) {
+    std::vector<obs::SloSpec> specs = obs::deadline_slos("", deadline_ms_);
     obs::SloSpec jitter;
     jitter.name = "jitter_p99_minus_p50_ms";
     jitter.kind = obs::SloKind::JitterP99MinusP50Ms;
-    jitter.threshold = deadline_ms_ * d.slo_jitter_factor;
-    for (obs::SloSpec* s : {&miss, &p99, &jitter}) {
-      s->window = d.slo_window;
-      s->min_frames = d.slo_min_frames;
-      s->cooldown_frames = d.slo_cooldown_frames;
-      specs.push_back(*s);
-    }
-    slo_ = std::make_unique<obs::SloMonitor>(
-        std::move(specs), obs::enabled() ? &obs::global().metrics : nullptr);
+    jitter.threshold = deadline_ms_ * kSloJitterFactor;
+    specs.push_back(jitter);
+    d.slo.emplace(std::move(specs),
+                  obs::enabled() ? &obs::global().metrics : nullptr);
   }
 
   // --- drift: predicted vs measured frame latency --------------------------
-  std::optional<obs::DriftAlert> alert;
+  bool drift = false;
   if (f.managed) {
-    alert = drift_->observe(kFrameDriftStream, f.frame, f.predicted_ms,
-                            f.measured_ms);
-  }
-  if (alert.has_value()) {
-    ++stats_.drift_alerts;
-    if (obs::enabled()) {
-      obs::global().flight.record(obs::FrEventType::DriftAlert, alert->frame,
-                                  drift_->stream_index(alert->stream),
-                                  alert->statistic, alert->threshold);
+    if (const std::optional<f64> err =
+            relative_error_pct(f.predicted_ms, f.measured_ms)) {
+      d.frame_window.add(*err);
+      drift = check_drift(d.frame_drift, d.frame_window.stats(), f.frame, -1,
+                          kFrameDriftStream);
     }
   }
 
   // --- SLOs ---------------------------------------------------------------
   std::vector<obs::SloBreach> breaches;
-  if (slo_ != nullptr && f.managed) {
-    breaches = slo_->observe_frame(f.frame, f.measured_ms, f.deadline_miss);
+  if (d.slo.has_value() && f.managed) {
+    breaches = d.slo->observe_frame(f.frame, f.measured_ms, f.deadline_miss);
     for (usize i = 0; i < breaches.size(); ++i) {
       ++stats_.slo_breaches;
       if (obs::enabled()) {
@@ -646,12 +635,12 @@ void Executor::run_diagnostics(const ExecutedFrame& f) {
   } else if (!breaches.empty()) {
     reason = "slo_breach:" + breaches.front().slo;
     trigger_breach = &breaches.front();
-  } else if (alert.has_value()) {
-    reason = "drift:" + alert->stream;
+  } else if (drift) {
+    reason = std::string("drift:") + kFrameDriftStream;
   }
   if (!reason.empty()) {
     const std::string path =
-        postmortem_->write(postmortem_context(f, reason, trigger_breach),
+        d.postmortem.write(postmortem_context(f, reason, trigger_breach),
                            obs::global().flight, obs::global().metrics);
     if (!path.empty()) ++stats_.postmortems;
   }
@@ -664,9 +653,9 @@ obs::PredictorStateSummary Executor::predictor_summary() const {
     const rt::NodeForecast& f = fc[static_cast<usize>(node)];
     s.nodes.push_back({obs::global().node_name(node), f.serial_ms, f.active});
   }
-  if (drift_ != nullptr) {
-    s.drift_errors_pct.emplace_back(
-        kFrameDriftStream, drift_->smoothed_error_pct(kFrameDriftStream));
+  if (diag_ != nullptr) {
+    s.drift_errors_pct.emplace_back(kFrameDriftStream,
+                                    diag_->frame_window.stats().mean_ape_pct);
   }
   return s;
 }
@@ -699,8 +688,8 @@ obs::PostmortemContext Executor::postmortem_context(
     ctx.extra.emplace_back("slo_value", std::to_string(breach->value));
     ctx.extra.emplace_back("slo_threshold", std::to_string(breach->threshold));
   }
-  if (slo_ != nullptr) {
-    const obs::SloMonitor::WindowStats w = slo_->window_snapshot();
+  if (diag_ != nullptr && diag_->slo.has_value()) {
+    const obs::SloMonitor::WindowStats w = diag_->slo->window_snapshot();
     ctx.extra.emplace_back("slo_window_frames", std::to_string(w.frames));
     ctx.extra.emplace_back("slo_window_miss_rate",
                            std::to_string(w.miss_rate));
@@ -711,11 +700,11 @@ obs::PostmortemContext Executor::postmortem_context(
 }
 
 std::string Executor::write_postmortem(const std::string& reason) {
-  if (postmortem_ == nullptr) return "";
+  if (diag_ == nullptr) return "";
   const std::string path =
-      postmortem_->write(postmortem_context(last_frame_, reason),
-                         obs::global().flight, obs::global().metrics,
-                         /*force=*/true);
+      diag_->postmortem.write(postmortem_context(last_frame_, reason),
+                              obs::global().flight, obs::global().metrics,
+                              /*force=*/true);
   if (!path.empty()) ++stats_.postmortems;
   return path;
 }

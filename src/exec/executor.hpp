@@ -42,17 +42,19 @@
 
 #include <array>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/analyzer.hpp"
 #include "analysis/audit.hpp"
 #include "app/stentboost.hpp"
 #include "exec/deadline.hpp"
-#include "obs/drift.hpp"
 #include "obs/ledger.hpp"
 #include "obs/postmortem.hpp"
+#include "obs/slo.hpp"
 #include "platform/thread_pool.hpp"
 #include "runtime/partition.hpp"
 #include "runtime/qos.hpp"
@@ -77,26 +79,6 @@ struct LoadSpike {
   i32 start_frame = -1;  ///< < 0 disables the injection
   i32 frames = 0;
   f64 busy_ms = 0.0;
-};
-
-/// Diagnostics: drift/SLO monitoring and post-mortem capture (ISSUE 5).
-/// Disabled by default — the executor then carries zero monitor state.
-struct DiagnosticsConfig {
-  bool enabled = false;
-  /// Drift detection on predicted vs measured frame latency (stream
-  /// "frame_latency") and, with the ledger on, per-node CPU ("node:<name>").
-  obs::DriftConfig drift;
-  /// SLO thresholds, derived from the active deadline once it is known:
-  /// miss-rate over the window, p99 <= deadline * slo_p99_factor, and
-  /// p99 - p50 jitter <= deadline * slo_jitter_factor.
-  f64 slo_miss_rate = 0.25;
-  f64 slo_p99_factor = 1.50;
-  f64 slo_jitter_factor = 0.75;
-  i32 slo_window = 48;
-  i32 slo_min_frames = 16;
-  i32 slo_cooldown_frames = 48;
-  /// Bundle output; an empty directory disables post-mortem writing.
-  obs::PostmortemConfig postmortem;
 };
 
 /// Portable snapshot of a trained predictor: the loop's GraphPredictor plus
@@ -156,8 +138,9 @@ struct ExecutorConfig {
   bool audit_at_startup = false;
   analysis::Policy audit_policy = analysis::Policy::Strict;
   analysis::audit::AuditOptions audit_options;
-  /// Drift/SLO monitoring + post-mortem capture.
-  DiagnosticsConfig diagnostics;
+  /// Diagnostics: drift and SLO monitoring, with post-mortem bundles
+  /// written to this directory (obs/postmortem.hpp).  Empty = off.
+  std::string postmortem_dir;
   /// Prediction ledger (predicted-vs-actual resource attribution per frame
   /// and node; see obs/ledger.hpp).  Off by default.
   obs::LedgerConfig ledger;
@@ -208,7 +191,7 @@ struct ExecutorStats {
   i32 degraded_frames = 0;
   i32 repartitions = 0;
   f64 mean_measured_ms = 0.0;
-  // --- diagnostics (all 0 when DiagnosticsConfig::enabled is false) --------
+  // --- diagnostics (all 0 when ExecutorConfig::postmortem_dir is empty) ---
   i32 drift_alerts = 0;
   i32 slo_breaches = 0;
   i32 postmortems = 0;
@@ -273,15 +256,18 @@ class Executor {
     return ledger_.get();
   }
 
-  // --- diagnostics (null/empty when DiagnosticsConfig::enabled is false) ---
-  [[nodiscard]] obs::DriftMonitor* drift_monitor() { return drift_.get(); }
-  [[nodiscard]] obs::SloMonitor* slo_monitor() { return slo_.get(); }
+  // --- diagnostics (null when ExecutorConfig::postmortem_dir is empty) ----
+  /// The SLO monitor, once the deadline is known (thresholds derive from it).
+  [[nodiscard]] obs::SloMonitor* slo_monitor() {
+    return diag_ != nullptr && diag_->slo.has_value() ? &*diag_->slo
+                                                       : nullptr;
+  }
   [[nodiscard]] obs::PostmortemWriter* postmortem_writer() {
-    return postmortem_.get();
+    return diag_ != nullptr ? &diag_->postmortem : nullptr;
   }
 
-  /// Snapshot of the predictor (per-node forecast, drift error) as embedded
-  /// in post-mortem bundles.
+  /// Snapshot of the predictor (per-node forecast, frame drift error) as
+  /// embedded in post-mortem bundles.
   [[nodiscard]] obs::PredictorStateSummary predictor_summary() const;
 
   /// Explicitly capture a post-mortem bundle (reason "manual" unless given);
@@ -331,7 +317,8 @@ class Executor {
   void ledger_predict(i32 t, std::span<const rt::NodeForecast> fc,
                       const ExecutedFrame& result);
   /// Settle the frame's ledger rows from the measured task executions,
-  /// update the auxiliary filters and feed the per-node drift streams.
+  /// update the auxiliary filters and, with diagnostics on, apply the drift
+  /// rule to each settled node's CPU calibration window.
   void ledger_settle(const ExecutedFrame& result,
                      const graph::FrameRecord& record);
 
@@ -343,6 +330,12 @@ class Executor {
                                   const graph::FrameRecord& record);
   /// Drift/SLO evaluation + post-mortem triggers for one finished frame.
   void run_diagnostics(const ExecutedFrame& f);
+  /// Apply the drift rule to one calibration window: export its mean error
+  /// and, on a crossing, count, flight-record and export the alert.
+  /// `node` is -1 for the frame-latency window.
+  bool check_drift(obs::DriftRule& rule,
+                   const obs::CalibrationWindow::Stats& s, i32 frame, i32 node,
+                   const std::string& predictor);
   /// `breach` (optional) attaches the triggering SLO's identity, value and
   /// threshold plus the monitor's window aggregates to the bundle's extra
   /// fields.
@@ -389,12 +382,19 @@ class Executor {
   ExecutorStats stats_;
   f64 measured_sum_ms_ = 0.0;
 
-  /// Diagnostics stack (allocated only when diagnostics.enabled).  The SLO
-  /// monitor is created lazily once the deadline is known, because its
-  /// thresholds derive from the deadline.
-  std::unique_ptr<obs::DriftMonitor> drift_;
-  std::unique_ptr<obs::SloMonitor> slo_;
-  std::unique_ptr<obs::PostmortemWriter> postmortem_;
+  /// Diagnostics state (allocated only with a postmortem_dir).
+  struct Diagnostics {
+    explicit Diagnostics(std::string dir) : postmortem(std::move(dir)) {}
+    /// Signed frame-latency errors of the last 64 managed frames.
+    obs::CalibrationWindow frame_window{64};
+    obs::DriftRule frame_drift;
+    /// One rule per node over the ledger's CPU calibration windows.
+    std::array<obs::DriftRule, app::kNodeCount> node_drift{};
+    /// Created once the deadline is known (its thresholds derive from it).
+    std::optional<obs::SloMonitor> slo;
+    obs::PostmortemWriter postmortem;
+  };
+  std::unique_ptr<Diagnostics> diag_;
   /// Prediction ledger (allocated only when config_.ledger.enabled).
   std::unique_ptr<obs::PredictionLedger> ledger_;
   /// Admission ticket of the next planned frame (frame order).

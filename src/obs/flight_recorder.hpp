@@ -60,7 +60,8 @@ enum class FrEventType : u16 {
   ScenarioSwitch,   ///< a = new scenario id, b = previous scenario id
   DeadlineMiss,     ///< a = measured ms, b = deadline ms
   SloBreach,        ///< node = slo index; a = value, b = threshold
-  DriftAlert,       ///< node = stream index; a = statistic, b = threshold
+  DriftAlert,       ///< node id (-1 = frame latency); a = window mean APE %,
+                    ///<   b = threshold %
   CtxAdmit,         ///< frame context admitted; a = stream ticket
   CtxCommit,        ///< stream state committed; a = ticket, b = 0 front/1 back
   InstanceFanout,   ///< node id; a = instance count, b = total work units

@@ -65,16 +65,19 @@ CalibrationWindow::Stats CalibrationWindow::stats() const {
   std::vector<f64> abs_errors;
   abs_errors.reserve(ring_.size());
   f64 sum = 0.0;
+  f64 abs_sum = 0.0;
   u64 under = 0;
   u64 over = 0;
   for (f64 e : ring_) {
     sum += e;
+    abs_sum += std::abs(e);
     abs_errors.push_back(std::abs(e));
     if (e < 0.0) ++under;
     if (e > 0.0) ++over;
   }
   const f64 n = static_cast<f64>(ring_.size());
   s.bias_pct = sum / n;
+  s.mean_ape_pct = abs_sum / n;
   s.p50_ape_pct = percentile(abs_errors, 50.0);
   s.p95_ape_pct = percentile(abs_errors, 95.0);
   s.under_pct = static_cast<f64>(under) / n;
@@ -86,6 +89,16 @@ void CalibrationWindow::clear() {
   ring_.clear();
   next_ = 0;
   total_ = 0;
+}
+
+bool DriftRule::crossed(const CalibrationWindow::Stats& s) {
+  if (s.mean_ape_pct <= kThresholdPct) {
+    drifting_ = false;
+    return false;
+  }
+  if (drifting_ || s.samples < kMinSamples) return false;
+  drifting_ = true;
+  return true;
 }
 
 // --- PredictionLedger -------------------------------------------------------
@@ -124,8 +137,7 @@ void PredictionLedger::predict_frame(i32 frame, i64 ticket, f64 deadline_ms,
     p.rows.push_back(row);
   }
   pending_.push_back(std::move(p));
-  while (config_.max_open_frames > 0 &&
-         pending_.size() > config_.max_open_frames) {
+  while (pending_.size() > kMaxOpenFrames) {
     // A frame that never settles (crash path, dropped mid-pipeline) must
     // not pin memory forever; count it lost and move on.
     pending_.pop_front();
@@ -227,7 +239,7 @@ CalibrationWindow& PredictionLedger::node_window(i32 node, i32 resource) {
   for (auto& [k, w] : node_streams_) {
     if (k == key) return w;
   }
-  node_streams_.emplace_back(key, CalibrationWindow(config_.window));
+  node_streams_.emplace_back(key, CalibrationWindow(kCalibrationWindow));
   return node_streams_.back().second;
 }
 
@@ -237,7 +249,7 @@ CalibrationWindow& PredictionLedger::scenario_window(u32 scenario,
   for (auto& [k, w] : scenario_streams_) {
     if (k == key) return w;
   }
-  scenario_streams_.emplace_back(key, CalibrationWindow(config_.window));
+  scenario_streams_.emplace_back(key, CalibrationWindow(kCalibrationWindow));
   return scenario_streams_.back().second;
 }
 
@@ -383,32 +395,6 @@ std::string PredictionLedger::dump_json() const {
     out += i + 1 < rows_.size() ? ",\n" : "\n";
   }
   out += "  ]\n}\n";
-  return out;
-}
-
-std::string PredictionLedger::dump_csv() const {
-  common::MutexLock lock(mutex_);
-  std::string out =
-      "frame,node,task,stream,scenario,ticket,stripes,deadline_ms,slack_ms";
-  for (const char* r : kResourceNames) {
-    out += std::string(",pred_") + r + ",meas_" + r;
-  }
-  out += "\n";
-  for (const LedgerRow& r : rows_) {
-    out += std::to_string(r.frame) + "," + std::to_string(r.node) + "," +
-           node_name(r.node) + "," + std::to_string(r.stream) + "," +
-           std::to_string(r.scenario) + "," +
-           std::to_string(r.ticket) + "," + std::to_string(r.stripes) + "," +
-           fmt_f64(r.deadline_ms) + "," + fmt_f64(r.deadline_slack_ms);
-    for (i32 v = 0; v < kLedgerResourceCount; ++v) {
-      const auto res = static_cast<LedgerResource>(v);
-      out += ",";
-      if (r.has_pred(res)) out += fmt_f64(r.pred[static_cast<usize>(v)]);
-      out += ",";
-      if (r.has_meas(res)) out += fmt_f64(r.meas[static_cast<usize>(v)]);
-    }
-    out += "\n";
-  }
   return out;
 }
 

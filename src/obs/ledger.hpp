@@ -14,8 +14,9 @@
 // the calibration streams and appends the settled rows to a bounded ring.
 // On top of the rows, *calibration streams* — one rolling window per
 // (node, resource) and per (scenario, resource) — track bias (mean signed
-// percentage error), P50/P95 absolute percentage error and under/over-
-// prediction coverage.  Stream aggregates are mirrored into the
+// percentage error), mean/P50/P95 absolute percentage error and under/over-
+// prediction coverage; DriftRule turns a window's mean error into the
+// loop's drift signal.  Stream aggregates are mirrored into the
 // MetricsRegistry and, when tracing is on, emitted as Chrome counter tracks
 // with the predicted and actual series overlaid per node.
 //
@@ -120,6 +121,7 @@ class CalibrationWindow {
     u64 samples = 0;      ///< samples currently in the window
     u64 total = 0;        ///< samples ever added (incl. evicted)
     f64 bias_pct = 0.0;   ///< mean signed error (positive = over-predicts)
+    f64 mean_ape_pct = 0.0;  ///< mean absolute percentage error
     f64 p50_ape_pct = 0.0;  ///< median absolute percentage error
     f64 p95_ape_pct = 0.0;
     /// Fraction of window samples under- (pred < meas) / over-predicted.
@@ -139,17 +141,32 @@ class CalibrationWindow {
   u64 total_ = 0;
 };
 
+/// Prediction drift as a threshold on a calibration window: the forecasts
+/// stop describing the workload when the window's mean absolute percentage
+/// error exceeds kThresholdPct.  The mean, not the median: a 3x mis-scale
+/// (200 % error) over a ~10 % baseline lifts the mean of a full 64-sample
+/// window past 35 % after 9 samples, while its median moves only after 33.
+class DriftRule {
+ public:
+  static constexpr f64 kThresholdPct = 35.0;
+  /// Samples the window needs before the rule may fire.
+  static constexpr u64 kMinSamples = 8;
+
+  /// True once per excursion: when `s` first exceeds the threshold with at
+  /// least kMinSamples samples.  The rule re-arms once the mean is back at
+  /// or below the threshold.
+  bool crossed(const CalibrationWindow::Stats& s);
+
+ private:
+  bool drifting_ = false;
+};
+
 struct LedgerConfig {
   /// Master switch read by the integration layers (exec::Executor, the
   /// GraphPredictor); the ledger object itself is always live once built.
   bool enabled = false;
   /// Settled rows retained (ring; oldest evicted).  0 keeps everything.
   usize capacity = 4096;
-  /// Calibration window per (node|scenario, resource) stream.
-  usize window = 128;
-  /// Open (predicted, not yet settled) frames retained; beyond this the
-  /// oldest pending frame is dropped as lost (counted, never blocks).
-  usize max_open_frames = 16;
   /// Mirror stream aggregates into the MetricsRegistry passed at build.
   bool export_metrics = true;
   /// Record per-node predicted/actual CPU samples (ledger_cpu flight
@@ -165,6 +182,12 @@ struct LedgerConfig {
 
 class PredictionLedger {
  public:
+  /// Calibration window per (node|scenario, resource) stream.
+  static constexpr usize kCalibrationWindow = 128;
+  /// Open (predicted, not yet settled) frames retained; beyond this the
+  /// oldest pending frame is dropped as lost (counted, never blocks).
+  static constexpr usize kMaxOpenFrames = 16;
+
   explicit PredictionLedger(LedgerConfig config = {},
                             MetricsRegistry* metrics = nullptr);
 
@@ -203,8 +226,6 @@ class PredictionLedger {
   /// Self-contained "triplec-ledger-v1" JSON document of the retained rows
   /// (consumed by tools/triplec_ledger).
   [[nodiscard]] std::string dump_json() const TC_EXCLUDES(mutex_);
-  /// Flat CSV of the retained rows (one line per row).
-  [[nodiscard]] std::string dump_csv() const TC_EXCLUDES(mutex_);
 
   void clear() TC_EXCLUDES(mutex_);
 

@@ -1,6 +1,5 @@
 #include "obs/postmortem.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -125,37 +124,36 @@ std::string bundle_json(const PostmortemContext& ctx,
   return out;
 }
 
-PostmortemWriter::PostmortemWriter(PostmortemConfig config)
-    : config_(std::move(config)) {}
+PostmortemWriter::PostmortemWriter(std::string directory)
+    : directory_(std::move(directory)) {}
 
 std::string PostmortemWriter::write(const PostmortemContext& ctx,
                                     const FlightRecorder& flight,
                                     const MetricsRegistry& metrics,
                                     bool force) {
-  if (config_.directory.empty()) return "";
+  if (directory_.empty()) return "";
   {
     common::MutexLock lock(mutex_);
-    if (bundles_written_ >= config_.max_bundles) {
+    if (bundles_written_ >= kMaxBundles) {
       ++suppressed_;
       return "";
     }
     if (!force && last_bundle_frame_ >= 0 &&
-        ctx.frame - last_bundle_frame_ <
-            static_cast<i64>(config_.min_frames_between)) {
+        ctx.frame - last_bundle_frame_ < kMinFramesBetween) {
       ++suppressed_;
       return "";
     }
   }
 
   std::vector<FlightEvent> events = flight.snapshot();
-  if (config_.max_events > 0 && events.size() > config_.max_events) {
+  if (events.size() > kMaxEvents) {
     events.erase(events.begin(),
-                 events.end() - static_cast<std::ptrdiff_t>(config_.max_events));
+                 events.end() - static_cast<std::ptrdiff_t>(kMaxEvents));
   }
   const std::string doc = bundle_json(ctx, events, metrics);
 
   std::error_code ec;
-  std::filesystem::create_directories(config_.directory, ec);
+  std::filesystem::create_directories(directory_, ec);
   if (ec) return "";
 
   std::string path;
@@ -165,7 +163,7 @@ std::string PostmortemWriter::write(const PostmortemContext& ctx,
     std::snprintf(name, sizeof(name), "postmortem_%04llu_frame%d.json",
                   static_cast<unsigned long long>(bundles_written_),
                   ctx.frame);
-    path = (std::filesystem::path(config_.directory) / name).string();
+    path = (std::filesystem::path(directory_) / name).string();
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     if (!out) return "";
     out << doc;
@@ -174,40 +172,8 @@ std::string PostmortemWriter::write(const PostmortemContext& ctx,
     last_bundle_frame_ = ctx.frame;
     ++bundles_written_;
     last_path_ = path;
-    if (config_.keep_latest > 0) prune_directory();
   }
   return path;
-}
-
-void PostmortemWriter::prune_directory() {
-  namespace fs = std::filesystem;
-  struct Bundle {
-    fs::file_time_type mtime;
-    std::string name;
-    fs::path path;
-  };
-  std::vector<Bundle> bundles;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(config_.directory, ec)) {
-    if (ec) return;
-    if (!entry.is_regular_file(ec)) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("postmortem_", 0) != 0) continue;
-    if (name.size() < 5 || name.substr(name.size() - 5) != ".json") continue;
-    bundles.push_back({entry.last_write_time(ec), name, entry.path()});
-  }
-  if (bundles.size() <= config_.keep_latest) return;
-  // Oldest first; filename breaks mtime ties (names are monotonic within a
-  // run, so same-second bursts still prune in write order).
-  std::sort(bundles.begin(), bundles.end(), [](const Bundle& a,
-                                               const Bundle& b) {
-    if (a.mtime != b.mtime) return a.mtime < b.mtime;
-    return a.name < b.name;
-  });
-  const usize excess = bundles.size() - config_.keep_latest;
-  for (usize i = 0; i < excess; ++i) {
-    if (fs::remove(bundles[i].path, ec)) ++pruned_;
-  }
 }
 
 u64 PostmortemWriter::bundles_written() const {
@@ -218,11 +184,6 @@ u64 PostmortemWriter::bundles_written() const {
 u64 PostmortemWriter::suppressed() const {
   common::MutexLock lock(mutex_);
   return suppressed_;
-}
-
-u64 PostmortemWriter::pruned() const {
-  common::MutexLock lock(mutex_);
-  return pruned_;
 }
 
 std::string PostmortemWriter::last_path() const {

@@ -5,7 +5,7 @@
 // JSON file that tools/triplec_postmortem renders offline.
 //
 // The writer is deliberately boring: bundles are rate-limited (one per
-// `min_frames_between` frames, at most `max_bundles` per process) so a
+// kMinFramesBetween frames, at most kMaxBundles per writer) so a
 // pathological run cannot fill the disk, and writing happens on the caller's
 // thread (the executor's control path, between frames — never inside a
 // kernel).
@@ -24,23 +24,6 @@
 
 namespace tc::obs {
 
-struct PostmortemConfig {
-  /// Bundle directory (created on first write).  Empty disables writing.
-  std::string directory;
-  /// Flight-recorder events embedded per bundle (most recent first in
-  /// time-order; 0 = all live events).
-  usize max_events = 2048;
-  /// Frames between two bundles (rate limit; explicit requests ignore it).
-  i32 min_frames_between = 32;
-  /// Hard cap on bundles written by this writer.
-  usize max_bundles = 16;
-  /// Directory retention: after each write, prune the output directory to
-  /// the `keep_latest` most recent bundles (0 = keep everything).  Applies
-  /// to all `postmortem_*.json` files in the directory, including those of
-  /// earlier runs, so a long-lived deployment directory stays bounded.
-  usize keep_latest = 0;
-};
-
 /// Snapshot of the predictor at bundle time, filled by the layer that owns
 /// it (the executor) so obs stays free of model dependencies.
 struct PredictorStateSummary {
@@ -51,7 +34,7 @@ struct PredictorStateSummary {
     bool active = false;
   };
   std::vector<NodeState> nodes;
-  /// Smoothed drift errors per monitored stream (name, error_pct).
+  /// Mean absolute percentage error of each drift window (name, pct).
   std::vector<std::pair<std::string, f64>> drift_errors_pct;
 };
 
@@ -81,7 +64,16 @@ struct PostmortemContext {
 
 class PostmortemWriter {
  public:
-  explicit PostmortemWriter(PostmortemConfig config = {});
+  /// Flight-recorder events embedded per bundle (the most recent ones).
+  static constexpr usize kMaxEvents = 2048;
+  /// Frames between two bundles (rate limit; explicit requests ignore it).
+  static constexpr i32 kMinFramesBetween = 32;
+  /// Hard cap on bundles written by one writer.
+  static constexpr u64 kMaxBundles = 16;
+
+  /// Bundles go to `directory` (created on first write); an empty
+  /// directory disables writing.
+  explicit PostmortemWriter(std::string directory = {});
 
   /// Write a bundle for `ctx`, embedding a fresh flight-recorder snapshot
   /// and metrics dump.  Returns the bundle path, or "" when disabled,
@@ -94,21 +86,14 @@ class PostmortemWriter {
 
   [[nodiscard]] u64 bundles_written() const TC_EXCLUDES(mutex_);
   [[nodiscard]] u64 suppressed() const TC_EXCLUDES(mutex_);
-  /// Old bundle files deleted by the keep_latest retention policy.
-  [[nodiscard]] u64 pruned() const TC_EXCLUDES(mutex_);
-  [[nodiscard]] const PostmortemConfig& config() const { return config_; }
   [[nodiscard]] std::string last_path() const TC_EXCLUDES(mutex_);
 
  private:
-  /// Delete the oldest postmortem_*.json files beyond keep_latest.
-  void prune_directory() TC_REQUIRES(mutex_);
-
-  PostmortemConfig config_;
+  const std::string directory_;
   mutable common::Mutex mutex_;
   i64 last_bundle_frame_ TC_GUARDED_BY(mutex_) = -1;
   u64 bundles_written_ TC_GUARDED_BY(mutex_) = 0;
   u64 suppressed_ TC_GUARDED_BY(mutex_) = 0;
-  u64 pruned_ TC_GUARDED_BY(mutex_) = 0;
   std::string last_path_ TC_GUARDED_BY(mutex_);
 };
 

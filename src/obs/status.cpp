@@ -29,16 +29,6 @@ void StatusAggregator::set_ledger_provider(RowsProvider rows,
   node_name_ = std::move(node_name);
 }
 
-bool StatusAggregator::has_streams_provider() const {
-  common::MutexLock lock(mutex_);
-  return static_cast<bool>(streams_);
-}
-
-bool StatusAggregator::has_ledger_provider() const {
-  common::MutexLock lock(mutex_);
-  return static_cast<bool>(ledger_rows_);
-}
-
 std::string StatusAggregator::streams_json() const {
   JsonProvider provider;
   {

@@ -7,11 +7,11 @@
 // aggregator enforces that discipline structurally — subsystems register
 // *providers* (small callables returning already-snapshotted state), and
 // every provider is built on an explicit snapshot method of the subsystem
-// (serve::StreamServer::fleet_status(), obs::SloMonitor::snapshot(),
-// obs::PredictionLedger::recent()), each of
-// which copies state out under its own short-lived lock.  The aggregator's
-// own mutex only guards provider registration; providers are invoked with
-// it released.
+// (serve::StreamServer::fleet_status(), which reads each stream's
+// obs::SloMonitor::window_snapshot(), and obs::PredictionLedger::recent()),
+// each of which copies state out under its own short-lived lock.  The
+// aggregator's own mutex only guards provider registration; providers are
+// invoked with it released.
 //
 // Layering: obs cannot see serve/exec, so the providers are type-erased
 // std::functions that the higher layer installs (the StreamServer registers
@@ -50,8 +50,6 @@ class StatusAggregator {
   void set_streams_provider(JsonProvider provider) TC_EXCLUDES(mutex_);
   void set_ledger_provider(RowsProvider rows, NodeNamer node_name = {})
       TC_EXCLUDES(mutex_);
-  [[nodiscard]] bool has_streams_provider() const TC_EXCLUDES(mutex_);
-  [[nodiscard]] bool has_ledger_provider() const TC_EXCLUDES(mutex_);
 
   /// The /streams document: the registered provider's output, or
   /// `{"ready":...,"streams":[]}` when nothing registered yet.  The

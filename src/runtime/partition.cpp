@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "analysis/schedulability.hpp"
-
 namespace tc::rt {
 
 namespace {
@@ -46,38 +44,30 @@ f64 estimate_latency(const plat::CostParams& params,
   return total;
 }
 
-std::vector<PlanCandidate> enumerate_plan_candidates(
+std::vector<analysis::sched::PlanCandidate> enumerate_plan_candidates(
     const plat::CostParams& params, std::span<const NodeForecast> forecast,
     i32 max_stripes_per_task, i32 cpu_count) {
-  std::vector<analysis::sched::PlanCandidate> chain =
-      analysis::sched::enumerate_plans(params, to_schedule_nodes(forecast),
-                                       max_stripes_per_task, cpu_count);
-  std::vector<PlanCandidate> out;
-  out.reserve(chain.size());
-  for (const analysis::sched::PlanCandidate& c : chain) {
-    out.push_back({to_stripe_plan(c.plan), c.estimated_ms});
-  }
-  return out;
+  return analysis::sched::enumerate_plans(params, to_schedule_nodes(forecast),
+                                          max_stripes_per_task, cpu_count);
 }
 
 PlanChoice choose_plan(const plat::CostParams& params,
                        std::span<const NodeForecast> forecast, f64 budget_ms,
                        i32 max_stripes_per_task, i32 cpu_count) {
-  // First-fit over the greedy widening chain; when even the widest plan
-  // misses the budget, the widest plan is returned.
-  std::vector<PlanCandidate> chain = enumerate_plan_candidates(
-      params, forecast, max_stripes_per_task, cpu_count);
-  PlanChoice choice;
-  for (const PlanCandidate& candidate : chain) {
-    choice.plan = candidate.plan;
-    choice.estimated_ms = candidate.estimated_ms;
-    if (candidate.estimated_ms <= budget_ms) {
-      choice.fits_budget = true;
-      return choice;
-    }
-  }
-  choice.fits_budget = false;
-  return choice;
+  // First-fit over the greedy widening chain (never empty: it starts with
+  // the serial plan); when even the widest plan misses the budget, the
+  // widest plan is returned.
+  const std::vector<analysis::sched::PlanCandidate> chain =
+      enumerate_plan_candidates(params, forecast, max_stripes_per_task,
+                                cpu_count);
+  const auto fit = std::find_if(
+      chain.begin(), chain.end(),
+      [budget_ms](const analysis::sched::PlanCandidate& c) {
+        return c.estimated_ms <= budget_ms;
+      });
+  const bool fits = fit != chain.end();
+  const analysis::sched::PlanCandidate& chosen = fits ? *fit : chain.back();
+  return {to_stripe_plan(chosen.plan), chosen.estimated_ms, fits};
 }
 
 app::InstanceBudget budget_for_plan(const PlanChoice& choice, i32 pool_threads,

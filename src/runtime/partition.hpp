@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/schedulability.hpp"
 #include "app/stentboost.hpp"
 #include "platform/cost_model.hpp"
 
@@ -46,19 +47,15 @@ struct PlanChoice {
   bool fits_budget = false;
 };
 
-/// One plan in choose_plan's greedy-widening search chain.
-struct PlanCandidate {
-  app::StripePlan plan;
-  f64 estimated_ms = 0.0;
-};
-
 /// The complete, budget-independent search space of choose_plan: the greedy
 /// widening chain from the serial plan (first entry) to saturation (last
 /// entry, where no node can be widened profitably).  choose_plan returns the
 /// first candidate fitting its budget, or the last when none fits — exposing
 /// the chain lets the static audit (analysis::audit) prove properties over
-/// exactly the plans the runtime can ever pick.
-[[nodiscard]] std::vector<PlanCandidate> enumerate_plan_candidates(
+/// exactly the plans the runtime can ever pick.  Each candidate's plan has
+/// one entry per forecast node.
+[[nodiscard]] std::vector<analysis::sched::PlanCandidate>
+enumerate_plan_candidates(
     const plat::CostParams& params, std::span<const NodeForecast> forecast,
     i32 max_stripes_per_task, i32 cpu_count);
 

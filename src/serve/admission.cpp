@@ -28,10 +28,11 @@ namespace {
 /// feasibility bound (rt::choose_plan can never do better than this chain).
 f64 best_candidate_ms(std::span<const rt::NodeForecast> forecast,
                       i32 max_stripes_per_task, i32 pool_threads) {
-  const std::vector<rt::PlanCandidate> chain = rt::enumerate_plan_candidates(
-      exec::host_cost_params(), forecast, max_stripes_per_task, pool_threads);
+  const std::vector<analysis::sched::PlanCandidate> chain =
+      rt::enumerate_plan_candidates(exec::host_cost_params(), forecast,
+                                    max_stripes_per_task, pool_threads);
   f64 best = 0.0;
-  for (const rt::PlanCandidate& c : chain) {
+  for (const analysis::sched::PlanCandidate& c : chain) {
     if (best <= 0.0 || c.estimated_ms < best) best = c.estimated_ms;
   }
   return best;

@@ -13,15 +13,18 @@ namespace tc::serve {
 
 namespace {
 
-/// Mean CPU absolute percentage error over the stream's first `early`
+/// Frames of the warm-vs-cold calibration comparison.
+constexpr i32 kEarlyFrames = 12;
+
+/// Mean CPU absolute percentage error over the stream's first kEarlyFrames
 /// frames — the warm-vs-cold calibration comparison (-1 without data).
-f64 early_cpu_ape(const obs::PredictionLedger* ledger, i32 early) {
+f64 early_cpu_ape(const obs::PredictionLedger* ledger) {
   if (ledger == nullptr) return -1.0;
   const auto cpu = obs::LedgerResource::CpuMs;
   f64 sum = 0.0;
   i32 n = 0;
   for (const obs::LedgerRow& row : ledger->rows()) {
-    if (row.frame >= early) continue;
+    if (row.frame >= kEarlyFrames) continue;
     const std::optional<f64> err = row.error_pct(cpu);
     if (!err.has_value()) continue;
     sum += std::abs(*err);
@@ -139,37 +142,15 @@ void StreamServer::activate(i32 id) {
 
   // Per-stream SLOs under stream-prefixed names, so N monitors coexist in
   // one MetricsRegistry.
-  std::vector<obs::SloSpec> specs;
-  obs::SloSpec miss;
-  miss.name = stream.name + "/deadline_miss_rate";
-  miss.kind = obs::SloKind::DeadlineMissRate;
-  miss.threshold = config_.slo_miss_rate;
-  obs::SloSpec p99;
-  p99.name = stream.name + "/p99_latency_ms";
-  p99.kind = obs::SloKind::P99LatencyMs;
-  p99.threshold = stream.deadline_ms * config_.slo_p99_factor;
-  for (obs::SloSpec* spec : {&miss, &p99}) {
-    spec->window = config_.slo_window;
-    spec->min_frames = config_.slo_min_frames;
-  }
-  specs.push_back(miss);
-  specs.push_back(p99);
+  obs::MetricsRegistry* metrics =
+      obs::enabled() ? &obs::global().metrics : nullptr;
   session->slo = std::make_unique<obs::SloMonitor>(
-      std::move(specs), obs::enabled() ? &obs::global().metrics : nullptr);
-
+      obs::deadline_slos(stream.name + "/", stream.deadline_ms), metrics);
   if (fleet_slo_ == nullptr) {
     // Fleet objectives derive from the first admitted stream's deadline —
     // the fleet-level "are we keeping up" signal.
-    std::vector<obs::SloSpec> fleet_specs;
-    obs::SloSpec fmiss = miss;
-    fmiss.name = "fleet/deadline_miss_rate";
-    obs::SloSpec fp99 = p99;
-    fp99.name = "fleet/p99_latency_ms";
-    fleet_specs.push_back(fmiss);
-    fleet_specs.push_back(fp99);
     fleet_slo_ = std::make_unique<obs::SloMonitor>(
-        std::move(fleet_specs),
-        obs::enabled() ? &obs::global().metrics : nullptr);
+        obs::deadline_slos("fleet/", stream.deadline_ms), metrics);
   }
 
   // A promoted stream starts at the fleet's current virtual time, not 0 —
@@ -256,7 +237,7 @@ void StreamServer::finalize_report(Session& s) {
     r.p50_ms = percentile(s.latencies_ms, 50.0);
     r.p99_ms = percentile(s.latencies_ms, 99.0);
   }
-  r.early_ape_pct = early_cpu_ape(s.executor->ledger(), config_.early_frames);
+  r.early_ape_pct = early_cpu_ape(s.executor->ledger());
 }
 
 void StreamServer::update_fleet_gauges() {

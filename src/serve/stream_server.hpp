@@ -23,9 +23,9 @@
 //     publish their trained predictors, and newly submitted same-class
 //     streams are priced from them without a probe;
 //   * aggregate SLOs: per-stream and fleet-wide p99/miss-rate via
-//     obs::SloMonitor (stream-prefixed objective names), fleet gauges in
-//     the MetricsRegistry, and StreamAdmit/StreamReject/StreamRetire
-//     events in the flight recorder.
+//     obs::SloMonitor (obs::deadline_slos under stream-prefixed objective
+//     names), fleet gauges in the MetricsRegistry, and
+//     StreamAdmit/StreamReject/StreamRetire events in the flight recorder.
 //
 // Usage: submit() every stream (admission decides immediately), then
 // drain() once — it serves all admitted streams to completion, promoting
@@ -41,7 +41,7 @@
 #include "app/stentboost.hpp"
 #include "common/sync.hpp"
 #include "exec/executor.hpp"
-#include "obs/drift.hpp"
+#include "obs/slo.hpp"
 #include "obs/status.hpp"
 #include "obs/telemetry_server.hpp"
 #include "platform/thread_pool.hpp"
@@ -71,20 +71,13 @@ struct StreamConfig {
 };
 
 struct ServeConfig {
-  /// Shared pool size (0 = hardware concurrency).
+  /// Shared pool size (0 = the cores in the process affinity mask).
   i32 pool_threads = 0;
   /// Pin pool workers round-robin to cores (no-op off Linux).
   bool pin_threads = false;
   /// Scheduler slots: streams stepped concurrently at any instant.
   i32 max_concurrent_streams = 4;
   AdmissionConfig admission;
-  /// Early-frame window of the warm-vs-cold calibration comparison.
-  i32 early_frames = 12;
-  // Fleet/per-stream SLO parameters (thresholds derive from deadlines).
-  f64 slo_miss_rate = 0.25;
-  f64 slo_p99_factor = 1.50;
-  i32 slo_window = 64;
-  i32 slo_min_frames = 16;
   /// In-process HTTP ops endpoint (obs/telemetry_server.hpp); off by
   /// default.  When enabled the server starts with the StreamServer,
   /// readiness flips once construction completes, and /streams serves
@@ -112,7 +105,7 @@ struct StreamReport {
   f64 p50_ms = 0.0;
   f64 p99_ms = 0.0;
   f64 miss_rate = 0.0;
-  /// Mean CPU absolute percentage error over the first early_frames ledger
+  /// Mean CPU absolute percentage error over the first 12 frames' ledger
   /// rows — the warm-vs-cold calibration comparison (-1 = no ledger data).
   f64 early_ape_pct = -1.0;
 };

@@ -289,10 +289,7 @@ TEST(Executor, LoadSpikeProducesPostmortemBundle) {
   exec_config.worker_threads = 2;
   exec_config.warmup_frames = 6;
   exec_config.deadline_headroom = 1.6;  // roomy: organic misses stay rare
-  exec_config.diagnostics.enabled = true;
-  exec_config.diagnostics.postmortem.directory = dir.string();
-  exec_config.diagnostics.postmortem.max_events = 256;
-  exec_config.diagnostics.postmortem.min_frames_between = 4;
+  exec_config.postmortem_dir = dir.string();
   exec_config.load_spike.start_frame = 20;
   exec_config.load_spike.frames = 3;
   exec_config.load_spike.busy_ms = 25.0;  // dwarfs the small graph's frame
@@ -329,8 +326,7 @@ TEST(Executor, ManualPostmortemBypassesRateLimit) {
   ExecutorConfig exec_config;
   exec_config.deadline_ms = 5.0;
   exec_config.worker_threads = 2;
-  exec_config.diagnostics.enabled = true;
-  exec_config.diagnostics.postmortem.directory = dir.string();
+  exec_config.postmortem_dir = dir.string();
   Executor executor(heavy_config(12), exec_config);
   executor.run(10);
 
@@ -348,7 +344,6 @@ TEST(Executor, ManualPostmortemBypassesRateLimit) {
 
 TEST(Executor, DiagnosticsDisabledMeansNoMonitors) {
   Executor executor(small_config(4), ExecutorConfig{});
-  EXPECT_EQ(executor.drift_monitor(), nullptr);
   EXPECT_EQ(executor.slo_monitor(), nullptr);
   EXPECT_EQ(executor.postmortem_writer(), nullptr);
   EXPECT_TRUE(executor.write_postmortem("manual").empty());
@@ -509,8 +504,7 @@ TEST(ExecutorLedger, PostmortemBundleEmbedsRecentLedgerRows) {
   exec_config.deadline_ms = 5.0;
   exec_config.worker_threads = 2;
   exec_config.ledger.enabled = true;
-  exec_config.diagnostics.enabled = true;
-  exec_config.diagnostics.postmortem.directory = dir.string();
+  exec_config.postmortem_dir = dir.string();
   Executor executor(small_config(8), exec_config);
   executor.run(8);
 
@@ -528,6 +522,74 @@ TEST(ExecutorLedger, PostmortemBundleEmbedsRecentLedgerRows) {
   EXPECT_EQ(ledger.at(ledger.size() - 1).number_or("frame", -1), 7.0);
 
   fs::remove_all(dir);
+}
+
+// Per-node drift on the ledger's CPU windows: a node forecast at 3x its
+// measured time raises exactly one DriftAlert, carrying that node's id,
+// while the same run with online EWMAs raises none.
+TEST(ExecutorLedger, MisScaledNodeRaisesOneDriftAlert) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "tc_executor_node_drift";
+  constexpr i32 kFrames = 48;
+  // A small node: tripling it leaves the frame forecast within the rule.
+  constexpr i32 kNode = app::kCplsSel;
+  ExecutorConfig exec_config;
+  exec_config.source = MeasurementSource::Simulated;  // deterministic times
+  exec_config.ledger.enabled = true;
+  exec_config.postmortem_dir = dir.string();
+
+  model::GraphPredictor predictor(app::kNodeCount, app::kSwitchCount);
+  model::PredictorConfig ewma;
+  ewma.kind = model::PredictorKind::Ewma;
+  for (i32 node = 0; node < app::kNodeCount; ++node) {
+    predictor.configure_task(node, ewma);
+  }
+  struct Run {
+    i32 alerts = 0;
+    std::vector<obs::FlightEvent> drift_events;
+    f64 node_mean_ms = 0.0;
+  };
+  auto run = [&](const model::GraphPredictor& p) {
+    fs::remove_all(dir);
+    obs::global().clear();
+    obs::set_enabled(true);
+    Executor executor(heavy_config(kFrames), exec_config, p);
+    const std::vector<ExecutedFrame> frames = executor.run(kFrames);
+    obs::set_enabled(false);
+    Run r;
+    r.alerts = executor.stats().drift_alerts;
+    for (const obs::FlightEvent& e : obs::global().flight.snapshot()) {
+      if (e.type == obs::FrEventType::DriftAlert) r.drift_events.push_back(e);
+    }
+    i32 executed = 0;
+    for (const ExecutedFrame& f : frames) {
+      const f64 ms = f.task_ms[static_cast<usize>(kNode)];
+      if (ms <= 0.0) continue;
+      r.node_mean_ms += ms;
+      ++executed;
+    }
+    r.node_mean_ms /= std::max(executed, 1);
+    obs::global().clear();
+    fs::remove_all(dir);
+    return r;
+  };
+
+  const Run healthy = run(predictor);
+  EXPECT_EQ(healthy.alerts, 0);
+  EXPECT_TRUE(healthy.drift_events.empty());
+  ASSERT_GT(healthy.node_mean_ms, 0.0);
+
+  model::PredictorConfig constant;
+  constant.kind = model::PredictorKind::Constant;
+  predictor.configure_task(kNode, constant);
+  predictor.task_predictor(kNode).train(
+      std::vector<model::TrainingSample>{{3.0 * healthy.node_mean_ms, 0.0}});
+  const Run drifted = run(predictor);
+  EXPECT_EQ(drifted.alerts, 1);
+  ASSERT_EQ(drifted.drift_events.size(), 1u);
+  EXPECT_EQ(drifted.drift_events[0].node, kNode);
+  EXPECT_GT(drifted.drift_events[0].a, obs::DriftRule::kThresholdPct);
+  EXPECT_EQ(drifted.drift_events[0].b, obs::DriftRule::kThresholdPct);
 }
 
 }  // namespace

@@ -1,114 +1,91 @@
-#include "obs/drift.hpp"
-
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/stats.hpp"
+#include "obs/ledger.hpp"
+#include "obs/slo.hpp"
 #include "tripleC/markov.hpp"
 
 namespace tc::obs {
 namespace {
 
-TEST(PageHinkley, FiresOnMeanShiftNotOnStationaryNoise) {
-  PageHinkley ph(/*delta=*/0.5, /*lambda=*/20.0);
-  Pcg32 rng(7);
-  bool fired = false;
-  for (i32 i = 0; i < 500; ++i) {
-    fired = ph.observe(rng.uniform(4.5, 5.5)) || fired;
+// Drift monitoring: the drift rule over a 64-sample calibration window of
+// signed predicted-vs-measured errors, as the executor keeps per frame.
+class DriftStream {
+ public:
+  /// Score one frame; true when the rule fires on it.
+  bool observe(f64 predicted_ms, f64 measured_ms) {
+    const std::optional<f64> err =
+        relative_error_pct(predicted_ms, measured_ms);
+    if (!err.has_value()) return false;
+    window_.add(*err);
+    return rule_.crossed(window_.stats());
   }
-  EXPECT_FALSE(fired) << "stationary stream must not alarm";
-
-  // Mean jumps 5 -> 15: the cumulative excess crosses lambda quickly.
-  i32 frames_to_alarm = 0;
-  for (i32 i = 0; i < 100; ++i) {
-    ++frames_to_alarm;
-    if (ph.observe(rng.uniform(14.5, 15.5))) break;
+  [[nodiscard]] f64 mean_ape_pct() const {
+    return window_.stats().mean_ape_pct;
   }
-  EXPECT_LE(frames_to_alarm, 10);
-}
 
-TEST(Cusum, TwoSidedDetectsBothDirections) {
-  Cusum up(/*reference=*/10.0, /*k=*/1.0, /*h=*/8.0);
-  bool fired = false;
-  for (i32 i = 0; i < 10 && !fired; ++i) fired = up.observe(13.0);
-  EXPECT_TRUE(fired);
-  EXPECT_GT(up.positive(), up.negative());
-
-  Cusum down(10.0, 1.0, 8.0);
-  fired = false;
-  for (i32 i = 0; i < 10 && !fired; ++i) fired = down.observe(7.0);
-  EXPECT_TRUE(fired);
-  EXPECT_GT(down.negative(), down.positive());
-
-  Cusum quiet(10.0, 1.0, 8.0);
-  for (i32 i = 0; i < 200; ++i) EXPECT_FALSE(quiet.observe(10.5));
-}
+ private:
+  CalibrationWindow window_{64};
+  DriftRule rule_;
+};
 
 TEST(DriftMonitor, AccurateStreamStaysQuiet) {
-  DriftMonitor mon;
+  DriftStream s;
   for (i32 t = 0; t < 300; ++t) {
     const f64 measured = 10.0 + 0.2 * std::sin(t * 0.3);
-    EXPECT_FALSE(mon.observe("s", t, 10.0, measured).has_value());
+    EXPECT_FALSE(s.observe(10.0, measured));
   }
-  EXPECT_EQ(mon.alerts_total(), 0u);
-  EXPECT_LT(mon.smoothed_error_pct("s"), 5.0);
+  EXPECT_LT(s.mean_ape_pct(), 5.0);
 }
 
-TEST(DriftMonitor, AlertCarriesDetectorAndRespectsCooldown) {
-  DriftConfig cfg;
-  cfg.min_frames = 4;
-  cfg.cooldown_frames = 50;
-  DriftMonitor mon(cfg);
-  std::vector<DriftAlert> alerts;
-  mon.set_callback([&alerts](const DriftAlert& a) { alerts.push_back(a); });
-
+TEST(DriftMonitor, SustainedErrorAlertsOnceAndRearmsAfterRecovery) {
+  DriftStream s;
   i32 t = 0;
-  for (; t < 10; ++t) (void)mon.observe("s", t, 10.0, 10.0);  // healthy
-  i32 first_alert = -1;
-  for (; t < 60; ++t) {
-    if (mon.observe("s", t, 10.0, 40.0).has_value()) {  // 75 % error
-      first_alert = t;
-      break;
-    }
-  }
-  ASSERT_GE(first_alert, 0) << "sustained 75% error must alarm";
-  ASSERT_EQ(alerts.size(), 1u);
-  EXPECT_EQ(alerts[0].stream, "s");
-  EXPECT_GT(alerts[0].smoothed_error_pct, 10.0);
-  EXPECT_GT(alerts[0].threshold, 0.0);
+  for (; t < 10; ++t) EXPECT_FALSE(s.observe(10.0, 10.0));  // healthy
 
-  // Within the cooldown window no second alert fires.
-  for (t = first_alert + 1; t < first_alert + cfg.cooldown_frames; ++t) {
-    EXPECT_FALSE(mon.observe("s", t, 10.0, 40.0).has_value());
+  // A sustained 75 % error crosses once: the rule fires on the edge, not
+  // on every frame above the threshold.
+  std::vector<i32> alerts;
+  for (; t < 110; ++t) {
+    if (s.observe(10.0, 40.0)) alerts.push_back(t);
   }
-  EXPECT_EQ(mon.alerts_total(), 1u);
+  ASSERT_EQ(alerts.size(), 1u) << "sustained 75% error must alert exactly once";
+  EXPECT_LE(alerts[0], 10 + 32);
+  EXPECT_NEAR(s.mean_ape_pct(), 75.0, 1e-9);
+
+  // Recovery: once the window's mean is back at or below the threshold
+  // the rule re-arms, and the next excursion alerts again.
+  for (; t < 210; ++t) EXPECT_FALSE(s.observe(10.0, 10.0));
+  EXPECT_LE(s.mean_ape_pct(), DriftRule::kThresholdPct);
+  for (; t < 310; ++t) {
+    if (s.observe(10.0, 40.0)) alerts.push_back(t);
+  }
+  ASSERT_EQ(alerts.size(), 2u);
+  EXPECT_GT(alerts[1], 210);
 }
 
-TEST(DriftMonitor, StreamsAreIndependent) {
-  DriftConfig cfg;
-  cfg.min_frames = 4;
-  DriftMonitor mon(cfg);
-  for (i32 t = 0; t < 40; ++t) {
-    (void)mon.observe("good", t, 10.0, 10.0);
-    (void)mon.observe("bad", t, 10.0, 35.0);
+TEST(DriftMonitor, RuleNeedsMinimumSamples) {
+  DriftRule rule;
+  CalibrationWindow w(64);
+  for (u64 i = 1; i < DriftRule::kMinSamples; ++i) {
+    w.add(200.0);
+    EXPECT_FALSE(rule.crossed(w.stats())) << i << " samples";
   }
-  EXPECT_LT(mon.smoothed_error_pct("good"), 2.0);
-  EXPECT_GT(mon.smoothed_error_pct("bad"), 50.0);
-  EXPECT_GE(mon.alerts_total(), 1u);
-  EXPECT_EQ(mon.stream_index("good"), 0);
-  EXPECT_EQ(mon.stream_index("bad"), 1);
-  EXPECT_EQ(mon.stream_index("unknown"), -1);
+  w.add(200.0);
+  EXPECT_TRUE(rule.crossed(w.stats()));
 }
 
-// Acceptance criterion of ISSUE 5: a deliberately corrupted Markov
-// predictor is caught within a bounded number of frames.  The monitor
-// watches predicted-vs-measured of a chain that was fine during warm-up
-// and then starts predicting from corrupted state (a 3x mis-scale, as a
-// stale/overwritten quantizer would produce).
+// A deliberately corrupted Markov predictor is caught within a bounded
+// number of frames.  The rule watches predicted-vs-measured of a chain that
+// was fine during warm-up and then starts predicting from corrupted state
+// (a 3x mis-scale, as a stale/overwritten quantizer would produce).
 TEST(DriftMonitor, CatchesCorruptedMarkovPredictorWithinBoundedFrames) {
   // A well-trained chain over a bimodal frame-total series.
   Pcg32 rng(21);
@@ -121,9 +98,7 @@ TEST(DriftMonitor, CatchesCorruptedMarkovPredictorWithinBoundedFrames) {
   chain.fit(series);
   ASSERT_TRUE(chain.fitted());
 
-  DriftConfig cfg;
-  cfg.min_frames = 8;
-  DriftMonitor mon(cfg);
+  DriftStream mon;
 
   // Healthy phase: the chain predicts its own workload well; no alarms.
   f64 prev = series.back();
@@ -131,9 +106,7 @@ TEST(DriftMonitor, CatchesCorruptedMarkovPredictorWithinBoundedFrames) {
   for (; t < 120; ++t) {
     const f64 base = (t / 8) % 2 == 0 ? 10.0 : 16.0;
     const f64 measured = rng.uniform(base, base + 1.0);
-    EXPECT_FALSE(
-        mon.observe("markov", t, chain.predict_next(prev), measured)
-            .has_value())
+    EXPECT_FALSE(mon.observe(chain.predict_next(prev), measured))
         << "healthy predictor alarmed at frame " << t;
     prev = measured;
   }
@@ -145,7 +118,7 @@ TEST(DriftMonitor, CatchesCorruptedMarkovPredictorWithinBoundedFrames) {
     const f64 base = (t / 8) % 2 == 0 ? 10.0 : 16.0;
     const f64 measured = rng.uniform(base, base + 1.0);
     const f64 corrupted_prediction = 3.0 * chain.predict_next(prev);
-    if (mon.observe("markov", t, corrupted_prediction, measured).has_value()) {
+    if (mon.observe(corrupted_prediction, measured)) {
       detected_after = k + 1;
       break;
     }
@@ -175,7 +148,7 @@ TEST(SloMonitor, MissRateBreachFiresOncePerCooldown) {
   EXPECT_GE(breaches, 1);
   EXPECT_LE(breaches, 3);  // cooldown throttles repeated firing
   EXPECT_EQ(mon.breaches_total(), static_cast<u64>(breaches));
-  EXPECT_GT(mon.current("miss_rate"), 0.2);
+  EXPECT_GT(mon.window_snapshot().miss_rate, 0.2);
 }
 
 TEST(SloMonitor, LatencySlosTrackWindowPercentiles) {
@@ -194,20 +167,23 @@ TEST(SloMonitor, LatencySlosTrackWindowPercentiles) {
   SloMonitor mon({p99, jitter});
 
   for (i32 t = 0; t < 50; ++t) (void)mon.observe_frame(t, 10.0, false);
-  EXPECT_NEAR(mon.current("p99"), 10.0, 1e-9);
-  EXPECT_NEAR(mon.current("jitter"), 0.0, 1e-9);
+  SloMonitor::WindowStats w = mon.window_snapshot();
+  EXPECT_NEAR(w.p99, 10.0, 1e-9);
+  EXPECT_NEAR(w.p99 - w.p50, 0.0, 1e-9);
 
   // One frame in fifty at 100 ms: p99 and jitter jump, both SLOs break.
   std::vector<SloBreach> fired;
-  mon.set_callback([&fired](const SloBreach& b) { fired.push_back(b); });
-  i32 total = 0;
   for (i32 t = 50; t < 100; ++t) {
     const f64 latency = t % 25 == 0 ? 100.0 : 10.0;
-    total += static_cast<i32>(mon.observe_frame(t, latency, false).size());
+    for (SloBreach& b : mon.observe_frame(t, latency, false)) {
+      fired.push_back(std::move(b));
+    }
   }
-  EXPECT_GE(total, 2);
-  EXPECT_EQ(fired.size(), static_cast<usize>(total));
-  EXPECT_GT(mon.current("p99"), 20.0);
+  ASSERT_GE(fired.size(), 2u);
+  EXPECT_EQ(fired[0].slo, "p99");
+  EXPECT_EQ(fired[1].slo, "jitter");
+  EXPECT_EQ(mon.breaches_total(), fired.size());
+  EXPECT_GT(mon.window_snapshot().p99, 20.0);
 }
 
 TEST(SloMonitor, WindowWraparoundEvictsOldFrames) {
@@ -227,21 +203,21 @@ TEST(SloMonitor, WindowWraparoundEvictsOldFrames) {
 
   // Eight slow missed frames fill the ring...
   for (i32 t = 0; t < 8; ++t) (void)mon.observe_frame(t, 100.0, true);
-  EXPECT_NEAR(mon.current("p99"), 100.0, 1e-9);
-  EXPECT_NEAR(mon.current("miss"), 1.0, 1e-9);
+  SloMonitor::WindowStats w = mon.window_snapshot();
+  EXPECT_NEAR(w.p99, 100.0, 1e-9);
+  EXPECT_NEAR(w.miss_rate, 1.0, 1e-9);
 
   // ...then eight fast hits wrap it: nothing of the slow epoch may survive.
   for (i32 t = 8; t < 16; ++t) (void)mon.observe_frame(t, 1.0, false);
-  EXPECT_NEAR(mon.current("p99"), 1.0, 1e-9);
-  EXPECT_NEAR(mon.current("miss"), 0.0, 1e-9);
-  const SloMonitor::WindowStats w = mon.window_snapshot();
+  w = mon.window_snapshot();
   EXPECT_EQ(w.frames, 8);
+  EXPECT_NEAR(w.p99, 1.0, 1e-9);
   EXPECT_NEAR(w.p50, 1.0, 1e-9);
   EXPECT_NEAR(w.miss_rate, 0.0, 1e-9);
 
   // Half-wrapped: four old hits and four new misses -> 50 % miss rate.
   for (i32 t = 16; t < 20; ++t) (void)mon.observe_frame(t, 50.0, true);
-  EXPECT_NEAR(mon.current("miss"), 0.5, 1e-9);
+  EXPECT_NEAR(mon.window_snapshot().miss_rate, 0.5, 1e-9);
 }
 
 TEST(SloMonitor, P99TracksKnownDistribution) {
@@ -256,12 +232,11 @@ TEST(SloMonitor, P99TracksKnownDistribution) {
   for (i32 t = 0; t < 100; ++t) {
     (void)mon.observe_frame(t, static_cast<f64>(t + 1), false);
   }
-  EXPECT_GE(mon.current("p99"), 99.0);
-  EXPECT_LE(mon.current("p99"), 100.0);
   const SloMonitor::WindowStats w = mon.window_snapshot();
   EXPECT_EQ(w.frames, 100);
   EXPECT_NEAR(w.p50, 50.5, 1.0);
   EXPECT_GE(w.p99, 99.0);
+  EXPECT_LE(w.p99, 100.0);
 }
 
 TEST(SloMonitor, ConcurrentMultiStreamFeedingStaysConsistent) {
@@ -302,21 +277,6 @@ TEST(SloMonitor, ConcurrentMultiStreamFeedingStaysConsistent) {
   EXPECT_GE(w.p50, 10.0);
   EXPECT_LE(w.p99, 13.0);
   EXPECT_EQ(mon.breaches_total(), 0u);
-}
-
-TEST(SloMonitor, ResetRearms) {
-  SloSpec spec;
-  spec.name = "s";
-  spec.kind = SloKind::DeadlineMissRate;
-  spec.threshold = 0.1;
-  spec.window = 10;
-  spec.min_frames = 5;
-  SloMonitor mon({spec});
-  for (i32 t = 0; t < 20; ++t) (void)mon.observe_frame(t, 1.0, true);
-  EXPECT_GT(mon.breaches_total(), 0u);
-  mon.reset();
-  EXPECT_EQ(mon.breaches_total(), 0u);
-  EXPECT_NEAR(mon.current("s"), 0.0, 1e-12);
 }
 
 }  // namespace

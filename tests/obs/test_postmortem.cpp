@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -119,7 +118,7 @@ class PostmortemWriterTest : public ::testing::Test {
 };
 
 TEST_F(PostmortemWriterTest, EmptyDirectoryDisablesWriting) {
-  PostmortemWriter writer;  // default config: no directory
+  PostmortemWriter writer;  // no directory
   const std::string path =
       writer.write(make_context(), flight_, metrics_);
   EXPECT_TRUE(path.empty());
@@ -127,9 +126,7 @@ TEST_F(PostmortemWriterTest, EmptyDirectoryDisablesWriting) {
 }
 
 TEST_F(PostmortemWriterTest, WritesReadableBundleAndTracksLastPath) {
-  PostmortemConfig config;
-  config.directory = dir_.string();
-  PostmortemWriter writer(config);
+  PostmortemWriter writer(dir_.string());
   flight_.record(FrEventType::DeadlineMiss, 42, -1, 19.25, 16.0);
 
   const std::string path = writer.write(make_context(), flight_, metrics_);
@@ -148,137 +145,62 @@ TEST_F(PostmortemWriterTest, WritesReadableBundleAndTracksLastPath) {
 }
 
 TEST_F(PostmortemWriterTest, RateLimitSuppressesAndForceBypasses) {
-  PostmortemConfig config;
-  config.directory = dir_.string();
-  config.min_frames_between = 10;
-  PostmortemWriter writer(config);
+  PostmortemWriter writer(dir_.string());
+  constexpr i32 kGap = PostmortemWriter::kMinFramesBetween;
 
   PostmortemContext ctx = make_context();
   ctx.frame = 0;
   EXPECT_FALSE(writer.write(ctx, flight_, metrics_).empty());
-  ctx.frame = 5;  // inside the rate-limit window
+  ctx.frame = kGap / 2;  // inside the rate-limit window
   EXPECT_TRUE(writer.write(ctx, flight_, metrics_).empty());
   EXPECT_EQ(writer.suppressed(), 1u);
   // force bypasses the rate limit (explicit operator request)...
   EXPECT_FALSE(writer.write(ctx, flight_, metrics_, /*force=*/true).empty());
   // ...and a frame past the window writes normally again.
-  ctx.frame = 20;
+  ctx.frame = kGap / 2 + kGap;
   EXPECT_FALSE(writer.write(ctx, flight_, metrics_).empty());
   EXPECT_EQ(writer.bundles_written(), 3u);
 }
 
 TEST_F(PostmortemWriterTest, MaxBundlesCapsEvenForcedWrites) {
-  PostmortemConfig config;
-  config.directory = dir_.string();
-  config.min_frames_between = 0;
-  config.max_bundles = 2;
-  PostmortemWriter writer(config);
+  PostmortemWriter writer(dir_.string());
 
   PostmortemContext ctx = make_context();
-  for (i32 i = 0; i < 5; ++i) {
-    ctx.frame = i * 100;
+  for (u64 i = 0; i < PostmortemWriter::kMaxBundles + 3; ++i) {
+    ctx.frame = static_cast<i32>(i);  // inside the rate limit: forced
     writer.write(ctx, flight_, metrics_, /*force=*/true);
   }
-  EXPECT_EQ(writer.bundles_written(), 2u);
+  EXPECT_EQ(writer.bundles_written(), PostmortemWriter::kMaxBundles);
   EXPECT_EQ(writer.suppressed(), 3u);
-  usize files = 0;
+  u64 files = 0;
   for (const auto& entry : fs::directory_iterator(dir_)) {
     (void)entry;
     ++files;
   }
-  EXPECT_EQ(files, 2u);
+  EXPECT_EQ(files, PostmortemWriter::kMaxBundles);
 }
 
 TEST_F(PostmortemWriterTest, TrimsEmbeddedEventsToMaxEvents) {
-  PostmortemConfig config;
-  config.directory = dir_.string();
-  config.max_events = 8;
-  PostmortemWriter writer(config);
-  for (i32 i = 0; i < 40; ++i) {
-    flight_.record(FrEventType::Custom, i);
+  constexpr usize kMax = PostmortemWriter::kMaxEvents;
+  PostmortemWriter writer(dir_.string());
+  FlightRecorder flight(2 * kMax);
+  for (i32 i = 0; i < static_cast<i32>(kMax) + 32; ++i) {
+    flight.record(FrEventType::Custom, i);
   }
 
-  const std::string path = writer.write(make_context(), flight_, metrics_);
+  const std::string path = writer.write(make_context(), flight, metrics_);
   ASSERT_FALSE(path.empty());
   std::ifstream in(path);
   std::ostringstream ss;
   ss << in.rdbuf();
   const JsonValue root = JsonValue::parse(ss.str());
   const JsonValue& events = root.get("events");
-  ASSERT_EQ(events.size(), 8u);
-  // The newest eight events survive the trim.
-  for (usize i = 0; i < 8; ++i) {
+  ASSERT_EQ(events.size(), kMax);
+  // The newest kMax events survive the trim.
+  for (usize i = 0; i < kMax; ++i) {
     EXPECT_EQ(static_cast<i32>(events.at(i).number_or("frame", -1)),
               32 + static_cast<i32>(i));
   }
-}
-
-TEST_F(PostmortemWriterTest, KeepLatestPrunesOldestBundles) {
-  PostmortemConfig config;
-  config.directory = dir_.string();
-  config.min_frames_between = 0;
-  config.keep_latest = 3;
-  PostmortemWriter writer(config);
-
-  PostmortemContext ctx = make_context();
-  for (i32 i = 0; i < 7; ++i) {
-    ctx.frame = i;
-    ASSERT_FALSE(writer.write(ctx, flight_, metrics_).empty());
-  }
-  EXPECT_EQ(writer.bundles_written(), 7u);
-  EXPECT_EQ(writer.pruned(), 4u);
-
-  std::vector<std::string> names;
-  for (const auto& entry : fs::directory_iterator(dir_)) {
-    names.push_back(entry.path().filename().string());
-  }
-  std::sort(names.begin(), names.end());
-  ASSERT_EQ(names.size(), 3u);
-  // Monotonic names break same-second mtime ties: the three newest survive.
-  EXPECT_EQ(names[0], "postmortem_0004_frame4.json");
-  EXPECT_EQ(names[2], "postmortem_0006_frame6.json");
-  EXPECT_TRUE(fs::exists(writer.last_path()));
-}
-
-TEST_F(PostmortemWriterTest, KeepLatestPrunesStaleBundlesFromPriorRuns) {
-  fs::create_directories(dir_);
-  // A leftover bundle from an earlier process plus an unrelated file.
-  std::ofstream(dir_ / "postmortem_0000_frame9.json") << "{}";
-  std::ofstream(dir_ / "notes.txt") << "keep me";
-
-  PostmortemConfig config;
-  config.directory = dir_.string();
-  config.min_frames_between = 0;
-  config.keep_latest = 1;
-  PostmortemWriter writer(config);
-  PostmortemContext ctx = make_context();
-  ctx.frame = 1;
-  const std::string path = writer.write(ctx, flight_, metrics_);
-  ASSERT_FALSE(path.empty());
-
-  EXPECT_FALSE(fs::exists(dir_ / "postmortem_0000_frame9.json"));
-  EXPECT_TRUE(fs::exists(path));
-  EXPECT_TRUE(fs::exists(dir_ / "notes.txt"));  // non-bundles untouched
-  EXPECT_EQ(writer.pruned(), 1u);
-}
-
-TEST_F(PostmortemWriterTest, KeepLatestZeroKeepsEverything) {
-  PostmortemConfig config;
-  config.directory = dir_.string();
-  config.min_frames_between = 0;  // keep_latest stays at its 0 default
-  PostmortemWriter writer(config);
-  PostmortemContext ctx = make_context();
-  for (i32 i = 0; i < 4; ++i) {
-    ctx.frame = i;
-    writer.write(ctx, flight_, metrics_);
-  }
-  EXPECT_EQ(writer.pruned(), 0u);
-  usize files = 0;
-  for (const auto& entry : fs::directory_iterator(dir_)) {
-    (void)entry;
-    ++files;
-  }
-  EXPECT_EQ(files, 4u);
 }
 
 TEST(BundleJson, EmbedsLedgerRows) {

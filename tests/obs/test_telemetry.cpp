@@ -70,8 +70,6 @@ std::string raw_request(i32 port, const std::string& request,
 TEST(StatusAggregator, ReadyFlagAndEmptyDefaults) {
   StatusAggregator agg;
   EXPECT_FALSE(agg.ready());
-  EXPECT_FALSE(agg.has_streams_provider());
-  EXPECT_FALSE(agg.has_ledger_provider());
 
   const common::JsonValue doc = common::JsonValue::parse(agg.streams_json());
   EXPECT_FALSE(doc.get("ready").as_bool());
@@ -87,7 +85,6 @@ TEST(StatusAggregator, StreamsProviderOutputPassesThrough) {
   StatusAggregator agg;
   agg.set_streams_provider(
       [] { return std::string("{\"ready\":true,\"streams\":[{\"id\":9}]}"); });
-  ASSERT_TRUE(agg.has_streams_provider());
   const common::JsonValue doc = common::JsonValue::parse(agg.streams_json());
   ASSERT_EQ(doc.get("streams").items().size(), 1u);
   EXPECT_EQ(doc.get("streams").items()[0].number_or("id", 0.0), 9.0);
@@ -103,7 +100,6 @@ TEST(StatusAggregator, LedgerJsonRendersRecentAndWorst) {
   }
   agg.set_ledger_provider([rows] { return rows; },
                           [](i32 node) { return "node" + std::to_string(node); });
-  ASSERT_TRUE(agg.has_ledger_provider());
 
   const common::JsonValue doc =
       common::JsonValue::parse(agg.ledger_json(/*recent=*/3, /*worst=*/1));

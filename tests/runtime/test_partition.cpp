@@ -119,17 +119,20 @@ TEST(Partition, EnumerateChainMatchesChoosePlanAtEveryBudget) {
   // Budget set exactly at a candidate's estimate: choose_plan must return
   // that candidate (first fit), proving the audit and the runtime search
   // the same plan space.
-  for (const PlanCandidate& cand : chain) {
+  auto as_vec = [](const app::StripePlan& plan) {
+    return analysis::sched::PlanVec(plan.begin(), plan.end());
+  };
+  for (const analysis::sched::PlanCandidate& cand : chain) {
     PlanChoice c = choose_plan(params(), fc, cand.estimated_ms, 4, 8);
     EXPECT_TRUE(c.fits_budget);
-    EXPECT_EQ(c.plan, cand.plan);
+    EXPECT_EQ(as_vec(c.plan), cand.plan);
     EXPECT_DOUBLE_EQ(c.estimated_ms, cand.estimated_ms);
   }
   // Budget below even the widest plan: the last candidate, flagged unfit.
   PlanChoice worst = choose_plan(params(), fc, chain.back().estimated_ms - 1.0,
                                  4, 8);
   EXPECT_FALSE(worst.fits_budget);
-  EXPECT_EQ(worst.plan, chain.back().plan);
+  EXPECT_EQ(as_vec(worst.plan), chain.back().plan);
 }
 
 TEST(Partition, ChainMatchesSchedulabilityCore) {

@@ -126,13 +126,13 @@ TEST(StreamServer, QueuedStreamsPromoteAndFinish) {
 }
 
 TEST(StreamServer, PerStreamSloMonitorsCoexist) {
-  ServeConfig sc = small_server();
-  sc.slo_min_frames = 4;
-  sc.slo_window = 8;
-  StreamServer server(sc);
-  StreamConfig a = make_stream(500.0, /*frames=*/8);
+  StreamServer server(small_server());
+  // Two streams of 40 frames overfill the fleet's 64-frame window.
+  const i32 window = obs::SloSpec{}.window;
+  const i32 frames = window / 2 + 8;
+  StreamConfig a = make_stream(500.0, frames);
   a.name = "alpha";
-  StreamConfig b = make_stream(500.0, /*frames=*/8, 96, /*seed=*/9);
+  StreamConfig b = make_stream(500.0, frames, 96, /*seed=*/9);
   b.name = "beta";
   (void)server.submit(std::move(a));
   (void)server.submit(std::move(b));
@@ -140,9 +140,9 @@ TEST(StreamServer, PerStreamSloMonitorsCoexist) {
 
   // Objectives are stream-prefixed, so both monitors share the registry and
   // the fleet monitor aggregates everything it saw (ring capped at the
-  // 8-frame window).
+  // window).
   ASSERT_NE(server.fleet_slo(), nullptr);
-  EXPECT_EQ(server.fleet_slo()->window_snapshot().frames, 8);
+  EXPECT_EQ(server.fleet_slo()->window_snapshot().frames, window);
   for (const StreamReport& r : server.reports()) {
     EXPECT_TRUE(r.served);
     EXPECT_GE(r.miss_rate, 0.0);
