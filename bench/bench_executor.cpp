@@ -1,10 +1,11 @@
-// Executor bench — serial vs stripe-parallel execution of the real
-// StentBoost graph on host worker threads, plus functional and hybrid
-// variants of a kernel-backed three-stage pipeline (exec::StagePipeline).
+// Executor bench — the real StentBoost graph on host worker threads:
+// serial, stripe-parallel, and hybrid (striped, with the front of frame t+1
+// overlapped with the back of frame t through exec::FramePipeline).
 //
 // Writes BENCH_executor.json (consumed by CI as an artifact) with wall
 // clock, per-frame latency, throughput and speedup vs. serial per
-// configuration.
+// configuration.  Exits 1 when the stripe-parallel median does not beat
+// the serial median on a multi-core host (skipped with --smoke).
 //
 // Usage: bench_executor [--frames N] [--size S] [--workers W] [--reps R]
 //
@@ -17,7 +18,6 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -27,8 +27,6 @@
 #include "common/stats.hpp"
 #include "exec/executor.hpp"
 #include "exec/frame_pipeline.hpp"
-#include "exec/stage_pipeline.hpp"
-#include "imaging/kernels.hpp"
 #include "obs/exporters.hpp"
 #include "obs/obs.hpp"
 #include "obs/scoped_timer.hpp"
@@ -111,7 +109,7 @@ void print_rows(const char* family, const std::vector<Row>& rows) {
   std::printf("\n");
 }
 
-// --- family 1: the real StentBoost graph, serial vs. striped ---------------
+// --- the real StentBoost graph: serial, striped, hybrid --------------------
 
 app::StentBoostConfig app_config(const Options& opt) {
   app::StentBoostConfig config = app::StentBoostConfig::make(
@@ -138,9 +136,9 @@ f64 run_app(const Options& opt, const std::vector<img::ImageU16>& frames,
   return timer.elapsed_ms();
 }
 
-/// The real graph through the two-stage frame pipeline (front || back) with
-/// striped instance fan-out on the shared pool — the hybrid functional +
-/// data partitioning of paper §6 on real kernels.
+/// The real graph through the frame pipeline (front of t+1 || back of t)
+/// with striped instance fan-out on the shared pool — the hybrid functional
+/// + data partitioning of paper §6 on real kernels.
 f64 run_app_pipelined(const Options& opt,
                       const std::vector<img::ImageU16>& frames,
                       plat::ThreadPool* pool, i32 stripes,
@@ -159,7 +157,6 @@ f64 run_app_pipelined(const Options& opt,
 
   exec::FramePipelineConfig config;
   config.frames_in_flight = frames_in_flight;
-  config.collect_records = false;
   exec::FramePipeline pipeline(app, config);
   obs::ScopedTimer timer;
   for (i32 t = 0; t < opt.frames; ++t) {
@@ -167,90 +164,6 @@ f64 run_app_pipelined(const Options& opt,
   }
   pipeline.drain();
   return timer.elapsed_ms();
-}
-
-// --- family 2: kernel-backed 3-stage pipeline (functional / hybrid) --------
-
-struct Payload {
-  img::ImageF32 input;
-  img::ImageF32 previous;
-  img::ImageF32 blurred;
-  img::ImageF32 diff;
-  img::ImageF32 zoomed;
-};
-
-std::shared_ptr<Payload> make_payload(const img::ImageU16& frame,
-                                      const img::ImageU16& prev, i32 size) {
-  auto p = std::make_shared<Payload>();
-  p->input = img::to_f32(frame);
-  p->previous = img::to_f32(prev);
-  p->blurred = img::ImageF32(size, size);
-  p->zoomed = img::ImageF32(size, size);
-  return p;
-}
-
-std::vector<exec::StageSpec> pipeline_stages(i32 stripes) {
-  std::vector<exec::StageSpec> stages;
-  stages.push_back(exec::StageSpec{
-      "analysis",
-      [](exec::FramePacket& packet, const exec::StageContext& ctx) {
-        auto& p = *static_cast<Payload*>(packet.payload.get());
-        exec::parallel_rows(ctx, p.input.height(), [&p](IndexRange rows) {
-          img::gaussian_blur_rows(p.input, 2.0, p.blurred, rows);
-        });
-      },
-      stripes});
-  stages.push_back(exec::StageSpec{
-      "features",
-      [](exec::FramePacket& packet, const exec::StageContext&) {
-        auto& p = *static_cast<Payload*>(packet.payload.get());
-        p.diff = img::temporal_difference(p.blurred, p.previous);
-      },
-      1});
-  stages.push_back(exec::StageSpec{
-      "display",
-      [](exec::FramePacket& packet, const exec::StageContext& ctx) {
-        auto& p = *static_cast<Payload*>(packet.payload.get());
-        const Rect src{8, 8, p.diff.width() - 16, p.diff.height() - 16};
-        exec::parallel_rows(ctx, p.zoomed.height(), [&p, src](IndexRange rows) {
-          img::resample_bicubic_rows(p.diff, p.zoomed, src, rows);
-        });
-      },
-      stripes});
-  return stages;
-}
-
-f64 run_pipeline_serial(const std::vector<std::shared_ptr<Payload>>& payloads) {
-  obs::ScopedTimer timer;
-  for (const auto& p : payloads) {
-    img::gaussian_blur_rows(p->input, 2.0, p->blurred,
-                            IndexRange{0, p->input.height()});
-    p->diff = img::temporal_difference(p->blurred, p->previous);
-    const Rect src{8, 8, p->diff.width() - 16, p->diff.height() - 16};
-    img::resample_bicubic_rows(p->diff, p->zoomed, src,
-                               IndexRange{0, p->zoomed.height()});
-  }
-  return timer.elapsed_ms();
-}
-
-f64 run_pipeline(const Options& opt,
-                 const std::vector<std::shared_ptr<Payload>>& payloads,
-                 i32 stripes, plat::ThreadPool* pool, u64* backpressure) {
-  exec::PipelineConfig config;
-  config.queue_capacity = 2;
-  config.stripe_pool = pool;
-  exec::StagePipeline pipeline(pipeline_stages(stripes), config);
-  obs::ScopedTimer timer;
-  pipeline.start();
-  for (i32 t = 0; t < opt.frames; ++t) {
-    pipeline.submit(t, payloads[static_cast<usize>(t)]);
-  }
-  pipeline.drain();
-  const f64 wall = timer.elapsed_ms();
-  if (backpressure != nullptr) {
-    *backpressure = pipeline.stats().backpressure_events;
-  }
-  return wall;
 }
 
 /// The --ledger phase: a closed-loop executor run with the prediction
@@ -295,8 +208,7 @@ void run_ledger_phase(const Options& opt) {
   }
 }
 
-std::string to_json(const Options& opt, const std::vector<Row>& app_rows,
-                    const std::vector<Row>& pipe_rows, u64 backpressure) {
+std::string to_json(const Options& opt, const std::vector<Row>& app_rows) {
   std::ostringstream os;
   auto rows = [&os](const char* family, const std::vector<Row>& r) {
     os << "  \"" << family << "\": [\n";
@@ -315,10 +227,7 @@ std::string to_json(const Options& opt, const std::vector<Row>& app_rows,
   os << "  \"reps\": " << opt.reps << ",\n";
   os << "  \"host_cores\": " << plat::affinity_cores() << ",\n";
   rows("stentboost_graph", app_rows);
-  os << ",\n";
-  rows("kernel_pipeline", pipe_rows);
-  os << ",\n  \"pipeline_backpressure_events\": " << backpressure << "\n";
-  os << "}\n";
+  os << "\n}\n";
   return os.str();
 }
 
@@ -327,7 +236,7 @@ std::string to_json(const Options& opt, const std::vector<Row>& app_rows,
 int main(int argc, char** argv) {
   const Options opt = parse(argc, argv);
   bench::print_header(
-      "Concurrent executor — serial vs stripe vs functional vs hybrid",
+      "Concurrent executor — serial vs stripe vs hybrid pipeline",
       "Albers et al., IPDPS 2009, Section 5 (partitioning at run time)");
   std::printf("frames=%d size=%dx%d workers=%d reps=%d (median)\n\n",
               opt.frames, opt.size, opt.size, opt.workers, opt.reps);
@@ -340,7 +249,7 @@ int main(int argc, char** argv) {
   frames.reserve(static_cast<usize>(opt.frames));
   for (i32 t = 0; t < opt.frames; ++t) frames.push_back(sequence.render(t));
 
-  // --- real graph: serial vs striped ---------------------------------------
+  // --- serial, striped, hybrid ---------------------------------------------
   plat::ThreadPool pool(static_cast<usize>(opt.workers));
   std::vector<Row> app_rows;
   const f64 serial_wall = median_wall(
@@ -376,46 +285,9 @@ int main(int argc, char** argv) {
                 admits, commits, fanouts);
   }
 
-  // --- kernel pipeline: serial vs functional vs hybrid ---------------------
-  auto payloads_for = [&](void) {
-    std::vector<std::shared_ptr<Payload>> payloads;
-    payloads.reserve(static_cast<usize>(opt.frames));
-    for (i32 t = 0; t < opt.frames; ++t) {
-      payloads.push_back(make_payload(frames[static_cast<usize>(t)],
-                                      frames[static_cast<usize>(t > 0 ? t - 1 : 0)],
-                                      opt.size));
-    }
-    return payloads;
-  };
-
-  std::vector<Row> pipe_rows;
-  const f64 pipe_serial = median_wall(opt.reps, [&] {
-    auto payloads = payloads_for();
-    return run_pipeline_serial(payloads);
-  });
-  pipe_rows.push_back(make_row("serial", pipe_serial, opt.frames, pipe_serial));
-
-  u64 backpressure = 0;
-  const f64 functional_wall = median_wall(opt.reps, [&] {
-    auto payloads = payloads_for();
-    return run_pipeline(opt, payloads, 1, nullptr, &backpressure);
-  });
-  pipe_rows.push_back(
-      make_row("functional_3stage", functional_wall, opt.frames, pipe_serial));
-
-  const f64 hybrid_wall = median_wall(opt.reps, [&] {
-    auto payloads = payloads_for();
-    return run_pipeline(opt, payloads, opt.workers, &pool, nullptr);
-  });
-  pipe_rows.push_back(make_row(
-      "hybrid_3stage_x" + std::to_string(opt.workers), hybrid_wall,
-      opt.frames, pipe_serial));
-  print_rows("kernel pipeline (blur | temporal diff | bicubic zoom)",
-             pipe_rows);
-
   if (opt.ledger) run_ledger_phase(opt);
 
-  const std::string json = to_json(opt, app_rows, pipe_rows, backpressure);
+  const std::string json = to_json(opt, app_rows);
   if (obs::write_text_file("BENCH_executor.json", json)) {
     std::printf("wrote BENCH_executor.json\n");
   }

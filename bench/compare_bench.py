@@ -8,8 +8,8 @@ Usage:
 Diffs the median ms/frame of every (family, config) row.  Families are
 discovered dynamically: any top-level key whose value is a list of row
 objects carrying "name" and "ms_per_frame" participates, so the same gate
-covers BENCH_executor.json (stentboost_graph / kernel_pipeline) and
-BENCH_serve.json (serve_fleet) without a hardcoded schema.
+covers BENCH_executor.json (stentboost_graph) and BENCH_serve.json
+(serve_fleet) without a hardcoded schema.
 
 A second BASELINE2 CURRENT2 pair compares a second file family in the same
 invocation (one CI step gates both executor and serving benches); the exit
@@ -23,7 +23,9 @@ gate; the warnings put the trend in front of the reviewer without blocking
 the merge.
 
 Baselines live in bench/baselines/ and are refreshed deliberately (run the
-bench with --reps 5 on a quiet machine, eyeball the diff, commit).
+bench at CI's configuration on a quiet machine with at least 4 cores,
+eyeball the diff, commit); BENCH_executor.json is recorded with
+`bench_executor --frames 24 --size 1024 --workers 4 --reps 5`.
 
 With --require-same-host the host_cores check becomes a hard gate: a
 mismatch exits 3 instead of warning, for local baseline refreshes where a

@@ -28,10 +28,10 @@
 //   retire_frame             — finalize scenario, assign simulated costs
 //
 // process_frame/process_image run the four steps serially; exec::FramePipeline
-// overlaps run_back(t-1) with run_front(t) on separate stage threads.  Each
-// graph node fans its work out as *instances* (row stripes for the streaming
-// tasks, candidate batches for MKX/CPLS) onto the shared thread pool, under
-// the per-frame InstanceBudget.
+// overlaps run_back(t-1) on its back thread with run_front(t) on the
+// submitting thread.  Each graph node fans its work out as *instances* (row
+// stripes for the streaming tasks, candidate batches for MKX/CPLS) onto the
+// shared thread pool, under the per-frame InstanceBudget.
 #pragma once
 
 #include <array>

@@ -1,12 +1,11 @@
-// Per-frame deadline quality-of-service policy shared by the executors.
+// Per-frame deadline quality-of-service policy of the executor.
 //
 // The paper's runtime manager keeps the *output* latency constant; the
-// executors enforce the same contract with a per-frame deadline.  What
+// executor enforces the same contract with a per-frame deadline.  What
 // happens to a late frame is configurable:
 //
 //   Run      — finish it anyway (deadline misses are only counted);
-//   Drop     — discard it: a pipeline stage skips the remaining work, the
-//              closed-loop executor removes the frame from the display
+//   Drop     — discard it: the executor removes the frame from the display
 //              stream (a late fluoroscopy frame is worthless — the next one
 //              is already more current);
 //   Degrade  — keep the frame but lower the application quality (the QoS

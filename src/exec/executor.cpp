@@ -737,8 +737,8 @@ std::vector<ExecutedFrame> Executor::run(i32 n) {
 
 std::vector<ExecutedFrame> Executor::run_pipelined(i32 n,
                                                    i32 frames_in_flight) {
-  // One mutex serializes plan_frame (front-stage thread) against
-  // settle_frame (back-stage thread): both touch the predictor state.
+  // One mutex serializes plan_frame (submitting thread) against
+  // settle_frame (back thread): both touch the predictor state.
   // Admissions and retires are each in frame order, so the pending frames
   // form a FIFO.
   common::Mutex mutex;
@@ -747,8 +747,6 @@ std::vector<ExecutedFrame> Executor::run_pipelined(i32 n,
 
   FramePipelineConfig pc;
   pc.frames_in_flight = frames_in_flight;
-  pc.deadline_ms = deadline_ms_;
-  pc.collect_records = false;
   pc.on_admit = [&](i32 t) {
     common::MutexLock lock(mutex);
     ExecutedFrame f;

@@ -213,12 +213,12 @@ class Executor {
   std::vector<ExecutedFrame> run(i32 n);
 
   /// Run frames [0, n) with up to `frames_in_flight` frames overlapped
-  /// through exec::FramePipeline (front stage analyses frame t+1 while the
-  /// back stage enhances frame t).  Plans are chosen at admission and frames
-  /// settle at retire — both in frame order — so the FrameRecords are
-  /// byte-identical to run(n); only the predictor feedback may lag by the
-  /// frames in flight.  The per-frame instance budget divides the pool
-  /// among the in-flight frames (rt::budget_for_plan).
+  /// through exec::FramePipeline (the calling thread analyses frame t+1
+  /// while the back thread enhances frame t).  Plans are chosen at
+  /// admission and frames settle at retire — both in frame order — so the
+  /// FrameRecords are byte-identical to run(n); only the predictor feedback
+  /// may lag by the frames in flight.  The per-frame instance budget
+  /// divides the pool among the in-flight frames (rt::budget_for_plan).
   std::vector<ExecutedFrame> run_pipelined(i32 n, i32 frames_in_flight = 2);
 
   [[nodiscard]] f64 deadline_ms() const { return deadline_ms_; }

@@ -1,47 +1,45 @@
-// Frame pipeline: drives the real StentBoost graph through a two-stage
-// StagePipeline (hybrid functional + data partitioning, paper §6).
+// Frame pipeline: overlaps successive frames of the real StentBoost graph
+// (hybrid functional + data partitioning, paper §6).
 //
-// Stage "front" admits the frame (StreamState ticket, immutable snapshot of
-// the cross-frame front state) and runs the analysis front (RDG..GW_EXT);
-// stage "back" runs the enhancement back end (ENH, ZOOM), retires the frame
-// and hands the FrameRecord to the caller.  While the back stage enhances
-// frame t, the front stage already analyses frame t+1 — the app's
-// StreamState tickets keep every cross-frame read/commit in frame order, so
-// the records are byte-identical to a serial run (see tests/exec/
+// The submitting thread admits each frame (on_admit, the StreamState ticket
+// and the immutable snapshot of the cross-frame front state) and runs the
+// analysis front (RDG..GW_EXT); one back thread runs the enhancement back
+// end (ENH, ZOOM), retires the frame and calls on_retire.  While the back
+// thread enhances frame t, the submitter already analyses frame t+1 — the
+// app's StreamState tickets keep every cross-frame read/commit in frame
+// order, so the records are byte-identical to a serial run (see tests/exec/
 // test_frame_pipeline).
 //
-// The packet payload is a non-owning pointer to the app-owned FrameContext
-// (the app recycles it at retire_frame); deadline policy is always Run —
-// dropping a frame mid-pipeline would skip its StreamState commits and
-// deadlock the stream, so QoS decisions belong to the caller (exec::
+// submit() blocks while frames_in_flight frames sit between on_admit and
+// on_retire, so the bound is exact: 1 runs frames one at a time, 2 overlaps
+// the front of frame t+1 with the back of frame t.  Every frame runs to
+// completion — dropping one mid-way would skip its StreamState commits and
+// stall every later ticket — so QoS decisions belong to the caller (exec::
 // Executor::run_pipelined marks late frames dropped after the fact).
+//
+// With obs on, each half of a frame records a stage_start/stage_end
+// flight-event pair (node 0 = front, node 1 = back): the Chrome trace's
+// "exec-stage" lanes.
 #pragma once
 
+#include <deque>
 #include <functional>
-#include <memory>
-#include <vector>
+#include <thread>
 
 #include "app/stentboost.hpp"
-#include "exec/stage_pipeline.hpp"
+#include "common/sync.hpp"
 
 namespace tc::exec {
 
 struct FramePipelineConfig {
-  /// Target number of frames concurrently admitted-but-not-retired (>= 1);
-  /// maps to the inter-stage queue capacity, so the actual bound is
-  /// frames_in_flight + 1 (one resident per stage thread).
+  /// Frames between on_admit and on_retire at any time (>= 1).
   i32 frames_in_flight = 2;
-  /// Per-frame deadline for the pipeline's lateness accounting (0 = none);
-  /// late frames are counted, never dropped (policy is always Run).
-  f64 deadline_ms = 0.0;
-  /// Keep every retired FrameRecord for take_records().
-  bool collect_records = true;
-  /// Called on the front-stage thread immediately before frame admission —
+  /// Called on the submitting thread immediately before frame admission —
   /// in frame order.  The hook is where a controller applies the stripe
   /// plan / instance budget snapshot for the coming frame.
   std::function<void(i32 frame)> on_admit;
-  /// Called on the back-stage thread immediately after retire_frame — in
-  /// frame order, with the frame's final record.
+  /// Called on the back thread immediately after retire_frame — in frame
+  /// order, with the frame's final record.
   std::function<void(const graph::FrameRecord&)> on_retire;
 };
 
@@ -54,32 +52,34 @@ class FramePipeline {
   FramePipeline(const FramePipeline&) = delete;
   FramePipeline& operator=(const FramePipeline&) = delete;
 
-  /// Admit frame `t` of the app's synthetic sequence (renders on the
-  /// front-stage thread).  Blocks under backpressure; frames must be
-  /// submitted in increasing order.  False after drain().
+  /// Admit frame `t` of the app's synthetic sequence (renders on the calling
+  /// thread) and run its front.  Blocks while frames_in_flight frames are in
+  /// flight; frames must be submitted in increasing order.  False after
+  /// drain().
   bool submit(i32 t);
 
-  /// Admit an externally supplied frame.  The caller keeps `image` alive
-  /// and unchanged until the frame retires (the pipeline does not copy it
-  /// before the front stage runs).
+  /// Admit an externally supplied frame (copied at admission).
   bool submit(i32 t, const img::ImageU16& image);
 
-  /// Close the input, finish every in-flight frame, join the stage threads.
-  /// Idempotent; stats()/take_records() are complete afterwards.
+  /// Finish every in-flight frame and join the back thread.  Idempotent.
   void drain();
 
-  [[nodiscard]] PipelineStats stats() const { return pipeline_->stats(); }
-
-  /// Move out the retired records (frame order).
-  [[nodiscard]] std::vector<graph::FrameRecord> take_records();
-
  private:
+  /// Wait for room, then admit frame `t` and run its front (null `image` =
+  /// render the synthetic frame).
+  bool admit(i32 t, const img::ImageU16* image);
+  void back_loop();
+
   app::StentBoostApp& app_;
   FramePipelineConfig config_;
-  std::unique_ptr<StagePipeline> pipeline_;
-
-  common::Mutex records_mutex_;
-  std::vector<graph::FrameRecord> records_ TC_GUARDED_BY(records_mutex_);
+  common::Mutex mutex_;
+  common::CondVar cv_;
+  /// Frames whose front finished, waiting for the back thread (frame order).
+  std::deque<app::FrameContext*> fronted_ TC_GUARDED_BY(mutex_);
+  /// Frames between on_admit and on_retire.
+  i32 in_flight_ TC_GUARDED_BY(mutex_) = 0;
+  bool closed_ TC_GUARDED_BY(mutex_) = false;
+  std::thread back_;
 };
 
 }  // namespace tc::exec

@@ -11,10 +11,6 @@ const char* to_string(FrEventType t) {
       return "frame_start";
     case FrEventType::FrameEnd:
       return "frame_end";
-    case FrEventType::QueuePush:
-      return "queue_push";
-    case FrEventType::QueuePop:
-      return "queue_pop";
     case FrEventType::StageStart:
       return "stage_start";
     case FrEventType::StageEnd:

@@ -50,10 +50,9 @@ enum class FrEventType : u16 {
                     ///<   start ms (simulated source only)
   FrameEnd,         ///< frame done; a = measured ms, b = deadline/budget ms
                     ///<   (0 while unmanaged)
-  QueuePush,        ///< node = queue id; a = depth after push
-  QueuePop,         ///< node = queue id; a = depth after pop
-  StageStart,       ///< node = stage index
-  StageEnd,         ///< span: node = stage index; a = stage wall ms
+  StageStart,       ///< exec::FramePipeline half begins; node = 0 front,
+                    ///<   1 back
+  StageEnd,         ///< span: node = 0 front / 1 back; a = the half's wall ms
   PlanChoice,       ///< a = total stripes of the plan, b = estimated ms
   QosTransition,    ///< a = new quality level, b = previous level
   NodeTiming,       ///< node id; a = predicted serial ms, b = measured

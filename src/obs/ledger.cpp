@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <map>
 #include <set>
 #include <utility>
@@ -14,12 +13,6 @@
 namespace tc::obs {
 
 namespace {
-
-std::string fmt_f64(f64 v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
 
 constexpr std::array<const char*, kLedgerResourceCount> kResourceNames = {
     "cpu_ms", "mem_bytes", "cache_bus_mb", "memory_bus_mb", "io_bus_mb"};
@@ -345,6 +338,31 @@ CalibrationWindow::Stats PredictionLedger::scenario_calibration(
   return {};
 }
 
+std::string ledger_row_json(const LedgerRow& row) {
+  std::string out;
+  out += "{\"frame\":" + std::to_string(row.frame) +
+         ",\"node\":" + std::to_string(row.node) +
+         ",\"stream\":" + std::to_string(row.stream) +
+         ",\"scenario\":" + std::to_string(row.scenario) +
+         ",\"ticket\":" + std::to_string(row.ticket) +
+         ",\"stripes\":" + std::to_string(row.stripes) +
+         ",\"deadline_ms\":" + common::json_number(row.deadline_ms) +
+         ",\"slack_ms\":" + common::json_number(row.deadline_slack_ms) +
+         ",\"pred_mask\":" + std::to_string(row.pred_mask) +
+         ",\"meas_mask\":" + std::to_string(row.meas_mask) + ",\"pred\":[";
+  for (i32 v = 0; v < kLedgerResourceCount; ++v) {
+    if (v != 0) out += ",";
+    out += common::json_number(row.pred[static_cast<usize>(v)]);
+  }
+  out += "],\"meas\":[";
+  for (i32 v = 0; v < kLedgerResourceCount; ++v) {
+    if (v != 0) out += ",";
+    out += common::json_number(row.meas[static_cast<usize>(v)]);
+  }
+  out += "]}";
+  return out;
+}
+
 std::string PredictionLedger::dump_json() const {
   common::MutexLock lock(mutex_);
   std::string out = "{\n";
@@ -371,27 +389,7 @@ std::string PredictionLedger::dump_json() const {
   out += "  \"frames_lost\": " + std::to_string(frames_lost_) + ",\n";
   out += "  \"rows\": [\n";
   for (usize i = 0; i < rows_.size(); ++i) {
-    const LedgerRow& r = rows_[i];
-    out += "    {\"frame\":" + std::to_string(r.frame) +
-           ",\"node\":" + std::to_string(r.node) +
-           ",\"stream\":" + std::to_string(r.stream) +
-           ",\"scenario\":" + std::to_string(r.scenario) +
-           ",\"ticket\":" + std::to_string(r.ticket) +
-           ",\"stripes\":" + std::to_string(r.stripes) +
-           ",\"deadline_ms\":" + fmt_f64(r.deadline_ms) +
-           ",\"slack_ms\":" + fmt_f64(r.deadline_slack_ms) +
-           ",\"pred_mask\":" + std::to_string(r.pred_mask) +
-           ",\"meas_mask\":" + std::to_string(r.meas_mask) + ",\"pred\":[";
-    for (i32 v = 0; v < kLedgerResourceCount; ++v) {
-      if (v != 0) out += ",";
-      out += fmt_f64(r.pred[static_cast<usize>(v)]);
-    }
-    out += "],\"meas\":[";
-    for (i32 v = 0; v < kLedgerResourceCount; ++v) {
-      if (v != 0) out += ",";
-      out += fmt_f64(r.meas[static_cast<usize>(v)]);
-    }
-    out += "]}";
+    out += "    " + ledger_row_json(rows_[i]);
     out += i + 1 < rows_.size() ? ",\n" : "\n";
   }
   out += "  ]\n}\n";

@@ -107,6 +107,11 @@ struct LedgerRow {
   [[nodiscard]] std::optional<f64> error_pct(LedgerResource r) const;
 };
 
+/// One row as a compact JSON object — the one writer behind the
+/// triplec-ledger-v1 dump, the /ledger endpoint and post-mortem bundles.
+/// Numbers use common::json_number, so a reader recovers them exactly.
+[[nodiscard]] std::string ledger_row_json(const LedgerRow& row);
+
 /// Rolling window of signed percentage errors with percentile extraction —
 /// the calibration-stream primitive.  Capacity 0 keeps every sample
 /// (offline report building); capacity N keeps the most recent N

@@ -70,25 +70,8 @@ std::string predictors_json(const PredictorStateSummary& p) {
 std::string ledger_rows_json(std::span<const LedgerRow> rows) {
   std::string out = "[";
   for (usize i = 0; i < rows.size(); ++i) {
-    const LedgerRow& r = rows[i];
     if (i != 0) out += ",";
-    out += "{\"frame\":" + std::to_string(r.frame) +
-           ",\"node\":" + std::to_string(r.node) +
-           ",\"scenario\":" + std::to_string(r.scenario) +
-           ",\"stripes\":" + std::to_string(r.stripes) +
-           ",\"slack_ms\":" + fmt_f64(r.deadline_slack_ms) +
-           ",\"pred_mask\":" + std::to_string(r.pred_mask) +
-           ",\"meas_mask\":" + std::to_string(r.meas_mask) + ",\"pred\":[";
-    for (i32 v = 0; v < kLedgerResourceCount; ++v) {
-      if (v != 0) out += ",";
-      out += fmt_f64(r.pred[static_cast<usize>(v)]);
-    }
-    out += "],\"meas\":[";
-    for (i32 v = 0; v < kLedgerResourceCount; ++v) {
-      if (v != 0) out += ",";
-      out += fmt_f64(r.meas[static_cast<usize>(v)]);
-    }
-    out += "]}";
+    out += ledger_row_json(rows[i]);
   }
   out += "]";
   return out;

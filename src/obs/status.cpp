@@ -40,31 +40,6 @@ std::string StatusAggregator::streams_json() const {
          ",\"streams\":[]}";
 }
 
-std::string ledger_row_json(const LedgerRow& row) {
-  std::string out;
-  out += "{\"frame\":" + std::to_string(row.frame) +
-         ",\"node\":" + std::to_string(row.node) +
-         ",\"stream\":" + std::to_string(row.stream) +
-         ",\"scenario\":" + std::to_string(row.scenario) +
-         ",\"ticket\":" + std::to_string(row.ticket) +
-         ",\"stripes\":" + std::to_string(row.stripes) +
-         ",\"deadline_ms\":" + fmt_f64(row.deadline_ms) +
-         ",\"slack_ms\":" + fmt_f64(row.deadline_slack_ms) +
-         ",\"pred_mask\":" + std::to_string(row.pred_mask) +
-         ",\"meas_mask\":" + std::to_string(row.meas_mask) + ",\"pred\":[";
-  for (i32 v = 0; v < kLedgerResourceCount; ++v) {
-    if (v != 0) out += ",";
-    out += fmt_f64(row.pred[static_cast<usize>(v)]);
-  }
-  out += "],\"meas\":[";
-  for (i32 v = 0; v < kLedgerResourceCount; ++v) {
-    if (v != 0) out += ",";
-    out += fmt_f64(row.meas[static_cast<usize>(v)]);
-  }
-  out += "]}";
-  return out;
-}
-
 std::string StatusAggregator::ledger_json(usize recent, usize worst) const {
   RowsProvider rows_provider;
   NodeNamer namer;

@@ -71,8 +71,4 @@ class StatusAggregator {
   NodeNamer node_name_ TC_GUARDED_BY(mutex_);
 };
 
-/// One settled ledger row as a compact JSON object (shared by the /ledger
-/// endpoint and tests; field names match the triplec-ledger-v1 dump).
-[[nodiscard]] std::string ledger_row_json(const LedgerRow& row);
-
 }  // namespace tc::obs

@@ -344,12 +344,12 @@ void StreamServer::drain() {
   {
     common::MutexLock lock(mutex_);
     if (draining_) return;
-    draining_ = true;
     i32 open = 0;
     for (const auto& s : sessions_) {
       if (!s->done) ++open;
     }
     if (open == 0) return;
+    draining_ = true;
     slots = std::clamp(std::min(config_.max_concurrent_streams, open), 1,
                        narrow<i32>(pool_.thread_count()));
   }

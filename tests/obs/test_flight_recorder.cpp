@@ -160,7 +160,7 @@ TEST(FlightRecorder, ReallocatedRecorderNeverServesStaleCachedRing) {
 TEST(FlightRecorder, EventsJsonRoundTripsThroughParser) {
   FlightRecorder rec(64);
   rec.record(FrEventType::DeadlineMiss, 7, -1, 12.5, 10.0);
-  rec.record(FrEventType::QueuePush, -1, 2, 3.0);
+  rec.record(FrEventType::StageEnd, -1, 1, 3.0);
   const std::string doc = flight_events_json(rec.snapshot());
 
   const common::JsonValue v = common::JsonValue::parse(doc);
@@ -169,8 +169,8 @@ TEST(FlightRecorder, EventsJsonRoundTripsThroughParser) {
   EXPECT_EQ(v.at(0).string_or("type", ""), "deadline_miss");
   EXPECT_EQ(static_cast<i32>(v.at(0).number_or("frame", -2)), 7);
   EXPECT_DOUBLE_EQ(v.at(0).number_or("a", 0), 12.5);
-  EXPECT_EQ(v.at(1).string_or("type", ""), "queue_push");
-  EXPECT_EQ(static_cast<i32>(v.at(1).number_or("node", -2)), 2);
+  EXPECT_EQ(v.at(1).string_or("type", ""), "stage_end");
+  EXPECT_EQ(static_cast<i32>(v.at(1).number_or("node", -2)), 1);
 }
 
 TEST(FlightRecorder, EventsJsonRoundTripsBitForBit) {

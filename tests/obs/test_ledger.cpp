@@ -13,6 +13,8 @@
 
 #include "common/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/postmortem.hpp"
+#include "obs/status.hpp"
 
 namespace tc::obs {
 namespace {
@@ -338,6 +340,41 @@ TEST(PredictionLedger, DumpJsonRoundTripsThroughParser) {
             kLedgerAllResources);
   EXPECT_NEAR(row.get("pred").at(0).number_or(0), 10.0, 1e-12);
   EXPECT_NEAR(row.get("meas").at(0).number_or(0), 11.0, 1e-12);
+}
+
+TEST(LedgerRowJson, EveryWriterRoundTripsValuesExactly) {
+  constexpr f64 kValue = 14.123456789;
+  PredictionLedger ledger{LedgerConfig{}};
+  ledger.predict_frame(1, 5, 33.3, std::vector<i32>{2},
+                       std::vector<LedgerSample>{sample(0, kValue)});
+  ledger.settle_frame(1, 6, 30.0, std::vector<LedgerSample>{sample(0, 11.0)});
+  const std::vector<LedgerRow> rows = ledger.rows();
+  ASSERT_EQ(rows.size(), 1u);
+  const auto pred_cpu = [](const common::JsonValue& row) {
+    return row.get("pred").at(0).number_or(0.0);
+  };
+
+  // The triplec-ledger-v1 dump.
+  const auto dump = common::JsonValue::parse(ledger.dump_json());
+  EXPECT_EQ(pred_cpu(dump.get("rows").at(0)), kValue);
+
+  // The /ledger endpoint.
+  StatusAggregator status;
+  status.set_ledger_provider([&rows] { return rows; });
+  const auto endpoint = common::JsonValue::parse(status.ledger_json(1, 0));
+  EXPECT_EQ(pred_cpu(endpoint.get("recent").at(0)), kValue);
+
+  // Post-mortem bundles, whose rows carry every field of the dump.
+  PostmortemContext ctx;
+  ctx.ledger_rows = rows;
+  const MetricsRegistry metrics;
+  const auto bundle =
+      common::JsonValue::parse(bundle_json(ctx, {}, metrics));
+  const common::JsonValue& row = bundle.get("ledger").at(0);
+  EXPECT_EQ(pred_cpu(row), kValue);
+  EXPECT_EQ(row.number_or("stream", 0), -1);
+  EXPECT_EQ(row.number_or("ticket", -1), 5);
+  EXPECT_EQ(row.number_or("deadline_ms", 0), 33.3);
 }
 
 // --- offline report ---------------------------------------------------------

@@ -49,6 +49,16 @@ TEST(StreamServer, RejectedStreamNeverRunsAndDrainReturns) {
   EXPECT_EQ(r.frames, 0);
   EXPECT_EQ(server.fleet().rejected, 1);
   EXPECT_EQ(server.fleet().frames, 0);
+  EXPECT_FALSE(server.fleet_status().draining);
+
+  // The empty drain left the server able to serve the next stream.
+  const i32 next = server.submit(make_stream(/*deadline_ms=*/500.0));
+  server.drain();
+  const StreamReport served = server.report(next);
+  EXPECT_EQ(served.decision.verdict, AdmissionVerdict::Admit);
+  EXPECT_TRUE(served.served);
+  EXPECT_EQ(served.frames, 10);
+  EXPECT_FALSE(server.fleet_status().draining);
 }
 
 TEST(StreamServer, FleetAggregatesAcrossStreams) {
