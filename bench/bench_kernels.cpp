@@ -7,6 +7,7 @@
 #include "imaging/pipeline.hpp"
 #include "imaging/synthetic.hpp"
 #include "app/stentboost.hpp"
+#include "platform/thread_pool.hpp"
 
 using namespace tc;
 
@@ -116,21 +117,37 @@ void BM_Enhance(benchmark::State& state) {
 }
 BENCHMARK(BM_Enhance)->Arg(1024);
 
-void BM_SyntheticRender(benchmark::State& state) {
+/// The synthetic camera on bolus frame 60 (vessel tree stamped): one band
+/// on the calling thread, or `bands` row bands on a pool of as many threads.
+void synthetic_render(benchmark::State& state, i32 bands) {
   const i32 size = static_cast<i32>(state.range(0));
   img::SequenceParams p;
   p.width = size;
   p.height = size;
-  p.frames = 1000;
-  img::AngioSequence seq(p);
-  i32 t = 0;
+  const img::AngioSequence seq(p);
+  plat::ThreadPool pool(static_cast<usize>(bands));
+  img::RowBandRunner runner;
+  if (bands > 1) {
+    runner = [&](i32 rows, const std::function<void(IndexRange)>& body) {
+      pool.parallel_ranges(rows, bands,
+                           [&body](i32, IndexRange band) { body(band); });
+    };
+  }
   for (auto _ : state) {
-    img::ImageU16 frame = seq.render(t++ % 1000);
+    img::ImageU16 frame = seq.render(60, runner);
     benchmark::DoNotOptimize(frame.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * size * size);
 }
-BENCHMARK(BM_SyntheticRender)->Arg(256);
+
+void BM_SyntheticRender(benchmark::State& state) { synthetic_render(state, 1); }
+BENCHMARK(BM_SyntheticRender)->Arg(256)->Arg(1024);
+
+void BM_SyntheticRender4Bands(benchmark::State& state) {
+  synthetic_render(state, 4);
+}
+BENCHMARK(BM_SyntheticRender4Bands)->Arg(1024)->UseRealTime();
 
 void BM_FullPipelineFrame(benchmark::State& state) {
   app::StentBoostConfig c = app::StentBoostConfig::make(256, 256, 100000, 6);

@@ -43,10 +43,15 @@ struct InstanceBudget {
   /// on the shared pool.  0 = unlimited (pool size); 1 = run the instances
   /// sequentially on the slot's own thread.
   i32 max_concurrent = 0;
-  /// Candidate-batch instances for the feature-level stages (MKX cell-row
-  /// batches, CPLS_SEL first-index batches).
-  i32 feature_batches = 1;
+  /// This frame's share of the pool (threads / frames in flight): the row
+  /// bands the synthetic camera renders in and, capped at
+  /// kMaxFeatureBatches, the candidate-batch instances of the feature-level
+  /// stages (MKX cell-row batches, CPLS_SEL first-index batches).
+  i32 pool_share = 1;
 };
+
+/// Most candidate-batch instances a feature-level stage fans out into.
+inline constexpr i32 kMaxFeatureBatches = 4;
 
 /// Cross-frame state produced by the analysis front (RDG..GW_EXT) of frame
 /// t and consumed at the admission of frame t+1.
@@ -151,6 +156,9 @@ struct FrameContext {
   // --- owned stage outputs -------------------------------------------------
   img::RidgeResult ridge;  ///< response/blobness buffers are reused
   bool ridge_valid = false;
+  /// The rectangle of `ridge`'s planes the context's last RDG wrote (all
+  /// else in them is zero).
+  Rect ridge_written{};
   img::MarkerResult markers;
   std::optional<img::Couple> couple;
   img::RegistrationResult reg;

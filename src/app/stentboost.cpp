@@ -245,8 +245,20 @@ void StentBoostApp::recycle_context(FrameContext* ctx) {
   free_ctx_.push_back(ctx);
 }
 
+img::ImageU16 StentBoostApp::render_frame(i32 t) const {
+  // One row band per thread of the frame's pool share, run on the pool;
+  // the bytes do not depend on the split.
+  const i32 share = budget_.pool_share;
+  if (pool_ == nullptr || share <= 1) return sequence_.render(t);
+  return sequence_.render(
+      t, [this, share](i32 rows, const std::function<void(IndexRange)>& body) {
+        pool_->parallel_ranges(rows, share,
+                               [&body](i32, IndexRange band) { body(band); });
+      });
+}
+
 FrameContext* StentBoostApp::admit_frame(i32 t) {
-  return admit_image(t, sequence_.render(t));
+  return admit_image(t, render_frame(t));
 }
 
 FrameContext* StentBoostApp::admit_image(i32 t, const img::ImageU16& frame) {
@@ -361,7 +373,7 @@ graph::FrameRecord StentBoostApp::retire_frame(FrameContext& ctx) {
 }
 
 graph::FrameRecord StentBoostApp::process_frame(i32 t) {
-  return process_image(t, sequence_.render(t));
+  return process_image(t, render_frame(t));
 }
 
 graph::FrameRecord StentBoostApp::process_image(i32 t,
@@ -452,12 +464,29 @@ std::optional<img::WorkReport> StentBoostApp::run_rdg(FrameContext& ctx,
   const i32 node = roi_mode ? kRdgRoi : kRdgFull;
   const i32 stripes = ctx.plan[static_cast<usize>(node)];
 
-  // Output images are reused across frames; a serial run starts from
-  // zero-filled allocations, so clear them before any instance writes.
-  ctx.ridge.response.ensure(frame.width(), frame.height());
-  ctx.ridge.blobness.ensure(frame.width(), frame.height());
-  ctx.ridge.response.fill(0.0f);
-  ctx.ridge.blobness.fill(0.0f);
+  // Output images are reused across frames, and every pixel outside `r`
+  // must read zero (GW_EXT samples the response along the marker chord,
+  // which can leave the ROI).  Outside the rectangle the context's last RDG
+  // wrote they already are, so only that rectangle is cleared before any
+  // instance writes — or the whole planes, when ensure() reshaped them.
+  img::ImageF32& response = ctx.ridge.response;
+  img::ImageF32& blobness = ctx.ridge.blobness;
+  if (response.width() != frame.width() ||
+      response.height() != frame.height() ||
+      blobness.width() != frame.width() ||
+      blobness.height() != frame.height()) {
+    response.ensure(frame.width(), frame.height());
+    blobness.ensure(frame.width(), frame.height());
+    response.fill(0.0f);
+    blobness.fill(0.0f);
+  } else {
+    const Rect& old = ctx.ridge_written;
+    for (i32 y = old.y; y < old.y + old.h; ++y) {
+      std::fill_n(response.row(y) + old.x, old.w, 0.0f);
+      std::fill_n(blobness.row(y) + old.x, old.w, 0.0f);
+    }
+  }
+  ctx.ridge_written = r;
   ctx.ridge.dominant_pixels = 0;
 
   // One scratch set per instance, sized here on the calling thread: a
@@ -539,7 +568,7 @@ std::optional<img::WorkReport> StentBoostApp::run_mkx(FrameContext& ctx,
   const i32 node = roi_mode ? kMkxRoi : kMkxFull;
   const i32 instances =
       std::clamp(std::max(ctx.plan[static_cast<usize>(node)],
-                          ctx.budget.feature_batches),
+                          std::min(ctx.budget.pool_share, kMaxFeatureBatches)),
                  1, std::max(grid.cell_rows, 1));
   std::vector<img::MarkerBatch> batches(static_cast<usize>(instances));
   run_instances(ctx, node, grid.cell_rows, instances,
@@ -559,7 +588,8 @@ std::optional<img::WorkReport> StentBoostApp::run_cpls(FrameContext& ctx) {
                                  : nullptr;
   const i32 n = narrow<i32>(ctx.markers.candidates.size());
   const i32 instances =
-      std::clamp(ctx.budget.feature_batches, 1, std::max(n, 1));
+      std::clamp(std::min(ctx.budget.pool_share, kMaxFeatureBatches), 1,
+                 std::max(n, 1));
   std::vector<img::CouplePartial> partials(static_cast<usize>(instances));
   run_instances(ctx, kCplsSel, n, instances, [&](i32 b, IndexRange range) {
     partials[static_cast<usize>(b)] = img::select_couple_rows(

@@ -172,7 +172,9 @@ class StentBoostApp {
   // stream ticket sequences them); run_front/run_back/retire_frame may run
   // on different threads, the StreamState orders their commits.
 
-  /// Admit frame `t` of the synthetic sequence (renders on this thread).
+  /// Admit frame `t` of the synthetic sequence.  It renders in row bands
+  /// on the pool, one per thread of the instance budget's pool_share (on
+  /// this thread without a pool or with a share of 1).
   [[nodiscard]] FrameContext* admit_frame(i32 t);
   /// Admit an externally supplied frame.
   [[nodiscard]] FrameContext* admit_image(i32 t, const img::ImageU16& frame);
@@ -184,8 +186,8 @@ class StentBoostApp {
   /// drawn here, so frames must retire in order), recycle the context.
   [[nodiscard]] graph::FrameRecord retire_frame(FrameContext& ctx);
 
-  /// Process frame `t` of the synthetic sequence: render, run the full
-  /// lifecycle serially, return the record.
+  /// Process frame `t` of the synthetic sequence: render (banded as in
+  /// admit_frame), run the full lifecycle serially, return the record.
   graph::FrameRecord process_frame(i32 t);
 
   /// Process an externally supplied frame (e.g. for tests).
@@ -229,6 +231,8 @@ class StentBoostApp {
 
  private:
   void build_graph();
+  /// Render frame `t` in the budget's pool_share row bands.
+  [[nodiscard]] img::ImageU16 render_frame(i32 t) const;
   [[nodiscard]] FrameContext* acquire_context();
   void recycle_context(FrameContext* ctx);
   /// Fan one node's work out as `instances` index-range instances (host

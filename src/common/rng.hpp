@@ -47,11 +47,34 @@ class Pcg32 {
 
   u32 next_u32() {
     u64 old = state_;
-    state_ = old * 6364136223846793005ULL + inc_;
+    state_ = old * kMultiplier + inc_;
     u32 xorshifted = static_cast<u32>(((old >> 18) ^ old) >> 27);
     u32 rot = static_cast<u32>(old >> 59);
     return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
   }
+
+  /// Skip `delta` raw draws (next_u32 calls) in O(log delta): the LCG
+  /// jump-ahead of F. Brown, "Random number generation with arbitrary
+  /// strides" (1994).  The Box–Muller cache is untouched.
+  void advance(u64 delta) {
+    u64 acc_mult = 1;
+    u64 acc_plus = 0;
+    u64 cur_mult = kMultiplier;
+    u64 cur_plus = inc_;
+    for (; delta > 0; delta >>= 1) {
+      if ((delta & 1u) != 0) {
+        acc_mult *= cur_mult;
+        acc_plus = acc_plus * cur_mult + cur_plus;
+      }
+      cur_plus = (cur_mult + 1) * cur_plus;
+      cur_mult *= cur_mult;
+    }
+    state_ = acc_mult * state_ + acc_plus;
+  }
+
+  /// The LCG state: copies of one generator with equal states have made
+  /// the same number of raw draws.
+  [[nodiscard]] u64 state() const { return state_; }
 
   /// Uniform double in [0, 1).
   f64 next_f64() {
@@ -107,6 +130,8 @@ class Pcg32 {
   }
 
  private:
+  static constexpr u64 kMultiplier = 6364136223846793005ULL;
+
   u64 state_ = 0;
   u64 inc_ = 1;
   f64 cached_ = 0.0;

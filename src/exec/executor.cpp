@@ -403,8 +403,9 @@ void Executor::measure(const graph::FrameRecord& record, f64 spike_ms,
                        ExecutedFrame& result) const {
   // The host latency is the graph execution itself — the sum of the
   // measured task walls.  Rendering the synthetic input (process_frame's
-  // other cost) stands in for the camera and is not pipeline work, so it
-  // must not contaminate the deadline or the predictor feedback.
+  // other cost, in row bands on the frame's pool share) stands in for the
+  // camera and is not pipeline work, so it must not contaminate the
+  // deadline or the predictor feedback.
   for (const graph::TaskExecution& exec : record.tasks) {
     if (!exec.executed) continue;
     result.measured_host_ms += exec.host_ms;

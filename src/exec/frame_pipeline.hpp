@@ -52,8 +52,9 @@ class FramePipeline {
   FramePipeline(const FramePipeline&) = delete;
   FramePipeline& operator=(const FramePipeline&) = delete;
 
-  /// Admit frame `t` of the app's synthetic sequence (renders on the calling
-  /// thread) and run its front.  Blocks while frames_in_flight frames are in
+  /// Admit frame `t` of the app's synthetic sequence (rendered from the
+  /// calling thread, in row bands on the pool per the frame's pool share)
+  /// and run its front.  Blocks while frames_in_flight frames are in
   /// flight; frames must be submitted in increasing order.  False after
   /// drain().
   bool submit(i32 t);

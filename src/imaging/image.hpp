@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -104,6 +105,12 @@ class Image {
 
 using ImageU16 = Image<u16>;
 using ImageF32 = Image<f32>;
+
+/// Runs `body` over disjoint row bands that together cover [0, rows), in
+/// any order on the calling thread or concurrently on a pool.  An empty
+/// runner means one band on the calling thread.
+using RowBandRunner =
+    std::function<void(i32 rows, const std::function<void(IndexRange)>& body)>;
 
 /// Convert with clamping to the destination range.
 [[nodiscard]] ImageF32 to_f32(const ImageU16& in);

@@ -349,11 +349,6 @@ struct EnhanceResult {
   WorkReport work;
 };
 
-/// Runs `body` over disjoint row bands that together cover [0, rows), in
-/// order on the calling thread or concurrently on a pool.
-using RowBandRunner =
-    std::function<void(i32 rows, const std::function<void(IndexRange)>& body)>;
-
 /// Temporally integrate the current frame into the stent-aligned reference
 /// accumulator and crop the enhanced ROI (`roi` is given in reference
 /// coordinates).  The current frame is warped once by the rigid transform

@@ -1,11 +1,82 @@
 #include "imaging/synthetic.hpp"
 
+#include <cassert>
 #include <cmath>
 
 namespace tc::img {
 namespace {
 
 constexpr f64 kPi = 3.14159265358979323846;
+
+/// Max-blend a segment with a Gaussian cross profile into `rows` of
+/// `opacity`: the pixels and values a whole-image stamp gives those rows.
+void stamp_line(ImageF32& opacity, IndexRange rows, Point2f a, Point2f b,
+                f64 half_width, f64 depth) {
+  // Walk the segment in sub-pixel steps and add a Gaussian cross profile.
+  f64 dx = b.x - a.x;
+  f64 dy = b.y - a.y;
+  f64 len = std::sqrt(dx * dx + dy * dy);
+  if (len < 1e-9) return;
+  const i32 steps = static_cast<i32>(len / 0.7) + 1;
+  const i32 reach = static_cast<i32>(std::ceil(3.0 * half_width));
+  for (i32 s = 0; s <= steps; ++s) {
+    f64 frac = static_cast<f64>(s) / static_cast<f64>(steps);
+    f64 px = a.x + frac * dx;
+    f64 py = a.y + frac * dy;
+    i32 cx = narrow<i32>(std::lround(px));
+    i32 cy = narrow<i32>(std::lround(py));
+    const i32 y1 = std::min(cy + reach + 1, rows.hi);
+    const i32 x0 = std::max(cx - reach, 0);
+    const i32 x1 = std::min(cx + reach + 1, opacity.width());
+    for (i32 y = std::max(cy - reach, rows.lo); y < y1; ++y) {
+      f32* row = opacity.row(y);
+      for (i32 x = x0; x < x1; ++x) {
+        // Perpendicular distance from pixel to the segment direction.
+        f64 rx = static_cast<f64>(x) - px;
+        f64 ry = static_cast<f64>(y) - py;
+        f64 t_par = (rx * dx + ry * dy) / len;
+        f64 perp2 = rx * rx + ry * ry - t_par * t_par;
+        if (perp2 < 0.0) perp2 = 0.0;
+        f64 g = std::exp(-0.5 * perp2 / (half_width * half_width));
+        // max-blend avoids double-counting from overlapping stamps, and
+        // makes the result independent of the stamping order.
+        row[x] = std::max(row[x], static_cast<f32>(depth * g));
+      }
+    }
+  }
+}
+
+/// Max-blend a soft-edged disk into `rows` of `opacity`.
+void stamp_disk(ImageF32& opacity, IndexRange rows, Point2f c, f64 radius,
+                f64 depth) {
+  const i32 reach = static_cast<i32>(std::ceil(radius + 2.0));
+  i32 cx = narrow<i32>(std::lround(c.x));
+  i32 cy = narrow<i32>(std::lround(c.y));
+  const i32 y1 = std::min(cy + reach + 1, rows.hi);
+  const i32 x0 = std::max(cx - reach, 0);
+  const i32 x1 = std::min(cx + reach + 1, opacity.width());
+  for (i32 y = std::max(cy - reach, rows.lo); y < y1; ++y) {
+    f32* row = opacity.row(y);
+    for (i32 x = x0; x < x1; ++x) {
+      f64 rx = static_cast<f64>(x) - c.x;
+      f64 ry = static_cast<f64>(y) - c.y;
+      f64 d = std::sqrt(rx * rx + ry * ry);
+      // Soft-edged disk: full depth inside, smooth falloff over 1.5 px.
+      f64 edge = 1.0 / (1.0 + std::exp((d - radius) / 0.6));
+      row[x] = std::max(row[x], static_cast<f32>(depth * edge));
+    }
+  }
+}
+
+/// The frame's noise generator positioned for pixel `p`: pixel pair k
+/// draws raw values 2k and 2k + 1 (unless an earlier draw was rejected),
+/// and an odd pixel takes its pair's cached second variate.
+Pcg32 noise_at(const Pcg32& frame_noise, u64 p) {
+  Pcg32 gen = frame_noise;
+  gen.advance(p / 2 * 2);
+  if (p % 2 != 0) (void)gen.normal();
+  return gen;
+}
 
 }  // namespace
 
@@ -101,117 +172,117 @@ FrameTruth AngioSequence::truth(i32 t) const {
   return truth;
 }
 
-void AngioSequence::stamp_line(ImageF32& opacity, Point2f a, Point2f b,
-                               f64 half_width, f64 depth) const {
-  // Walk the segment in sub-pixel steps and add a Gaussian cross profile.
-  f64 dx = b.x - a.x;
-  f64 dy = b.y - a.y;
-  f64 len = std::sqrt(dx * dx + dy * dy);
-  if (len < 1e-9) return;
-  const i32 steps = static_cast<i32>(len / 0.7) + 1;
-  const i32 reach = static_cast<i32>(std::ceil(3.0 * half_width));
-  for (i32 s = 0; s <= steps; ++s) {
-    f64 frac = static_cast<f64>(s) / static_cast<f64>(steps);
-    f64 px = a.x + frac * dx;
-    f64 py = a.y + frac * dy;
-    i32 cx = narrow<i32>(std::lround(px));
-    i32 cy = narrow<i32>(std::lround(py));
-    for (i32 oy = -reach; oy <= reach; ++oy) {
-      for (i32 ox = -reach; ox <= reach; ++ox) {
-        i32 x = cx + ox;
-        i32 y = cy + oy;
-        if (!opacity.in_bounds(x, y)) continue;
-        // Perpendicular distance from pixel to the segment direction.
-        f64 rx = static_cast<f64>(x) - px;
-        f64 ry = static_cast<f64>(y) - py;
-        f64 t_par = (rx * dx + ry * dy) / len;
-        f64 perp2 = rx * rx + ry * ry - t_par * t_par;
-        if (perp2 < 0.0) perp2 = 0.0;
-        f64 g = std::exp(-0.5 * perp2 / (half_width * half_width));
-        f32& o = opacity.at(x, y);
-        // max-blend avoids double-counting from overlapping stamps.
-        o = std::max(o, static_cast<f32>(depth * g));
-      }
-    }
-  }
-}
-
-void AngioSequence::stamp_disk(ImageF32& opacity, Point2f c, f64 radius,
-                               f64 depth) const {
-  const i32 reach = static_cast<i32>(std::ceil(radius + 2.0));
-  i32 cx = narrow<i32>(std::lround(c.x));
-  i32 cy = narrow<i32>(std::lround(c.y));
-  for (i32 oy = -reach; oy <= reach; ++oy) {
-    for (i32 ox = -reach; ox <= reach; ++ox) {
-      i32 x = cx + ox;
-      i32 y = cy + oy;
-      if (!opacity.in_bounds(x, y)) continue;
-      f64 rx = static_cast<f64>(x) - c.x;
-      f64 ry = static_cast<f64>(y) - c.y;
-      f64 d = std::sqrt(rx * rx + ry * ry);
-      // Soft-edged disk: full depth inside, smooth falloff over 1.5 px.
-      f64 edge = 1.0 / (1.0 + std::exp((d - radius) / 0.6));
-      f32& o = opacity.at(x, y);
-      o = std::max(o, static_cast<f32>(depth * edge));
-    }
-  }
-}
-
-ImageU16 AngioSequence::render(i32 t) const {
+ImageU16 AngioSequence::render(i32 t, const RowBandRunner& bands) const {
   const i32 w = params_.width;
   const i32 h = params_.height;
   FrameTruth tr = truth(t);
   Point2f center = stent_center(t);
   f64 offset_x = center.x - 0.5 * w;
   f64 offset_y = center.y - 0.45 * h;
-
-  // Radiographic opacity accumulator (0 = transparent).
-  ImageF32 opacity(w, h, 0.0f);
-
   // Vessel tree, moving with the stent, visible only during the bolus.
-  f64 vessel_depth = contrast_at(t) * params_.vessel_contrast_peak;
-  if (vessel_depth > 1e-3) {
-    for (const Vessel& v : vessels_) {
-      for (usize i = 0; i + 1 < v.points.size(); ++i) {
-        Point2f a{v.points[i].x + offset_x, v.points[i].y + offset_y};
-        Point2f b{v.points[i + 1].x + offset_x, v.points[i + 1].y + offset_y};
-        stamp_line(opacity, a, b, v.half_width, vessel_depth);
+  const f64 vessel_depth = contrast_at(t) * params_.vessel_contrast_peak;
+
+  // Background anatomy: smooth vignette plus two low-frequency "rib"
+  // bands.  Both are a row term plus a column term, tabulated here as the
+  // per-pixel expressions compute them.
+  std::vector<f64> col_sq(static_cast<usize>(w));
+  std::vector<f64> col_sin(static_cast<usize>(w));
+  std::vector<f64> row_sq(static_cast<usize>(h));
+  std::vector<f64> row_sin(static_cast<usize>(h));
+  for (i32 x = 0; x < w; ++x) {
+    const f64 fx = static_cast<f64>(x) / w;
+    col_sq[static_cast<usize>(x)] = (fx - 0.5) * (fx - 0.5);
+    col_sin[static_cast<usize>(x)] = 0.04 * std::sin(5.0 * fx * kPi);
+  }
+  for (i32 y = 0; y < h; ++y) {
+    const f64 fy = static_cast<f64>(y) / h;
+    row_sq[static_cast<usize>(y)] = (fy - 0.5) * (fy - 0.5);
+    row_sin[static_cast<usize>(y)] = 0.06 * std::sin(9.0 * fy * kPi + 1.3);
+  }
+
+  // Radiographic opacity accumulator (0 = transparent) and the output;
+  // a band writes only its own rows of both.
+  ImageF32 opacity(w, h, 0.0f);
+  ImageU16 out(w, h);
+  const Pcg32 noise(params_.seed ^ 0xABCDEF1234567890ULL, static_cast<u64>(t));
+  // Each band's end row and its noise generator after its last pixel, in
+  // the slot of the band's first row.
+  struct BandEnd {
+    i32 hi = 0;
+    Pcg32 noise;
+  };
+  std::vector<BandEnd> ends(static_cast<usize>(h), BandEnd{0, noise});
+
+  // X-ray transmission + quantum noise for `rows`, drawing from `gen`.
+  const f64 dose = params_.dose_photons;
+  auto shade = [&](IndexRange rows, Pcg32& gen) {
+    for (i32 y = rows.lo; y < rows.hi; ++y) {
+      const f64 rsq = row_sq[static_cast<usize>(y)];
+      const f64 rsin = row_sin[static_cast<usize>(y)];
+      const f32* op = opacity.row(y);
+      u16* dst = out.row(y);
+      for (i32 x = 0; x < w; ++x) {
+        f64 vignette = 1.0 - 0.35 * (col_sq[static_cast<usize>(x)] + rsq);
+        f64 ribs = rsin + col_sin[static_cast<usize>(x)];
+        f64 background = std::clamp(vignette + ribs, 0.05, 1.0);
+        f64 transmission = background * (1.0 - static_cast<f64>(op[x]));
+        f64 lambda = dose * std::clamp(transmission, 0.01, 1.0);
+        // Gaussian approximation of Poisson quantum noise (lambda >> 1).
+        f64 photons = lambda + std::sqrt(lambda) * gen.normal();
+        if (photons < 0.0) photons = 0.0;
+        // Detector gain maps the dose range into 16-bit.
+        f64 value = photons * (40000.0 / dose);
+        dst[x] = static_cast<u16>(std::clamp(value, 0.0, 65535.0));
       }
     }
+  };
+
+  auto band = [&](IndexRange rows) {
+    if (rows.empty()) return;
+    if (vessel_depth > 1e-3) {
+      for (const Vessel& v : vessels_) {
+        for (usize i = 0; i + 1 < v.points.size(); ++i) {
+          Point2f a{v.points[i].x + offset_x, v.points[i].y + offset_y};
+          Point2f b{v.points[i + 1].x + offset_x, v.points[i + 1].y + offset_y};
+          stamp_line(opacity, rows, a, b, v.half_width, vessel_depth);
+        }
+      }
+    }
+    // Guide wire joining the markers (always present while visible).
+    if (tr.markers_visible) {
+      stamp_line(opacity, rows, tr.marker_a, tr.marker_b, 1.1, 0.22);
+      stamp_disk(opacity, rows, tr.marker_a, params_.marker_radius_px,
+                 params_.marker_depth);
+      stamp_disk(opacity, rows, tr.marker_b, params_.marker_radius_px,
+                 params_.marker_depth);
+    }
+    Pcg32 gen =
+        noise_at(noise, static_cast<u64>(rows.lo) * static_cast<u64>(w));
+    shade(rows, gen);
+    ends[static_cast<usize>(rows.lo)] = BandEnd{rows.hi, gen};
+  };
+  if (bands) {
+    bands(h, band);
+  } else {
+    band(IndexRange{0, h});
   }
 
-  // Guide wire joining the markers (always present while visible).
-  if (tr.markers_visible) {
-    stamp_line(opacity, tr.marker_a, tr.marker_b, 1.1, 0.22);
-    stamp_disk(opacity, tr.marker_a, params_.marker_radius_px,
-               params_.marker_depth);
-    stamp_disk(opacity, tr.marker_b, params_.marker_radius_px,
-               params_.marker_depth);
-  }
-
-  // Background anatomy: smooth vignette plus two low-frequency "rib" bands.
-  // Then X-ray transmission + quantum noise.
-  ImageU16 out(w, h);
-  Pcg32 noise(params_.seed ^ 0xABCDEF1234567890ULL, static_cast<u64>(t));
-  const f64 dose = params_.dose_photons;
-  for (i32 y = 0; y < h; ++y) {
-    f64 fy = static_cast<f64>(y) / h;
-    for (i32 x = 0; x < w; ++x) {
-      f64 fx = static_cast<f64>(x) / w;
-      f64 vignette = 1.0 - 0.35 * ((fx - 0.5) * (fx - 0.5) +
-                                   (fy - 0.5) * (fy - 0.5));
-      f64 ribs = 0.06 * std::sin(9.0 * fy * kPi + 1.3) +
-                 0.04 * std::sin(5.0 * fx * kPi);
-      f64 background = std::clamp(vignette + ribs, 0.05, 1.0);
-      f64 transmission =
-          background * (1.0 - static_cast<f64>(opacity.at(x, y)));
-      f64 lambda = dose * std::clamp(transmission, 0.01, 1.0);
-      // Gaussian approximation of Poisson quantum noise (lambda >> 1).
-      f64 photons = lambda + std::sqrt(lambda) * noise.normal();
-      if (photons < 0.0) photons = 0.0;
-      // Detector gain maps the dose range into 16-bit.
-      f64 value = photons * (40000.0 / dose);
-      out.at(x, y) = static_cast<u16>(std::clamp(value, 0.0, 65535.0));
+  // Box-Muller rejects a raw draw of 0 (about once in 2^32 draws), which
+  // shifts the stream for every later pixel.  The first band whose
+  // generator did not end where its draw count says started right and drew
+  // serially, so it is right; the rows after it are shaded again serially
+  // from where it ended.
+  for (i32 y = 0; y < h; y = ends[static_cast<usize>(y)].hi) {
+    const BandEnd& end = ends[static_cast<usize>(y)];
+    assert(end.hi > y && "the band runner must cover every row");
+    // Every pair touched so far was drawn: 2 * ceil(pixels / 2) draws.
+    const u64 pixels = static_cast<u64>(end.hi) * static_cast<u64>(w);
+    Pcg32 expected = noise;
+    expected.advance((pixels + 1) / 2 * 2);
+    if (end.noise.state() != expected.state()) {
+      Pcg32 gen = end.noise;
+      shade(IndexRange{end.hi, h}, gen);
+      break;
     }
   }
   return out;

@@ -13,6 +13,10 @@
 //
 // Rendering is deterministic per (seed, frame index): any frame can be
 // re-rendered independently, which the striped/parallel executors rely on.
+// A frame renders in row bands, on the calling thread or on a pool (the
+// app hands render() its frame's share of the pool): each band stamps the
+// scene into its own rows and draws its quantum noise from its own offset
+// of the frame's noise stream, so the bytes do not depend on the split.
 #pragma once
 
 #include <vector>
@@ -87,22 +91,29 @@ class AngioSequence {
   [[nodiscard]] i32 frames() const { return params_.frames; }
 
   /// Render frame `t` (16-bit, higher value = more transmission = brighter).
-  [[nodiscard]] ImageU16 render(i32 t) const;
+  /// `bands` (optional) runs the frame's row bands, e.g. on a pool; the
+  /// bytes depend neither on it nor on how it splits or orders the rows.
+  /// The images are allocated here, on the calling thread, and a band
+  /// allocates nothing.
+  [[nodiscard]] ImageU16 render(i32 t, const RowBandRunner& bands = {}) const;
 
   /// Ground truth for frame `t`.
   [[nodiscard]] FrameTruth truth(i32 t) const;
 
- private:
+  /// One vessel of the static tree.  Frame t draws it shifted by
+  /// stent_center(t) - (0.5 width, 0.45 height) (tests redraw the scene
+  /// from it; the pipeline never reads it).
   struct Vessel {
     std::vector<Point2f> points;  // centerline polyline (scene coordinates)
     f64 half_width = 0.0;
   };
+  [[nodiscard]] const std::vector<Vessel>& vessels() const { return vessels_; }
 
+  /// Stent centre in frame `t`; the vessel tree moves with it.
   [[nodiscard]] Point2f stent_center(i32 t) const;
+
+ private:
   [[nodiscard]] f64 contrast_at(i32 t) const;
-  void stamp_line(ImageF32& opacity, Point2f a, Point2f b, f64 half_width,
-                  f64 depth) const;
-  void stamp_disk(ImageF32& opacity, Point2f c, f64 radius, f64 depth) const;
 
   SequenceParams params_;
   std::vector<Vessel> vessels_;

@@ -1,7 +1,10 @@
 #include "obs/flight_recorder.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <limits>
+#include <new>
 
 namespace tc::obs {
 
@@ -88,11 +91,35 @@ thread_local TlsCache g_tls_ring;
 
 std::atomic<u64> g_next_generation{1};
 
+/// Bytes before a ring's first slot (the ThreadRing header).
+constexpr usize kRingHeaderBytes = 64;
+
 }  // namespace
 
 FlightRecorder::FlightRecorder(usize capacity_per_thread)
     : capacity_(round_up_pow2(capacity_per_thread)),
       generation_(g_next_generation.fetch_add(1, std::memory_order_relaxed)) {}
+
+FlightRecorder::~FlightRecorder() {
+  common::MutexLock lock(mutex_);
+  for (ThreadRing* ring = first_ring_; ring != nullptr;) {
+    ThreadRing* next = ring->next;
+    ring->~ThreadRing();
+    ::munmap(ring, ring_bytes());
+    ring = next;
+  }
+}
+
+FlightRecorder::Slot* FlightRecorder::ThreadRing::slots() {
+  static_assert(sizeof(ThreadRing) <= kRingHeaderBytes &&
+                kRingHeaderBytes % alignof(Slot) == 0);
+  return reinterpret_cast<Slot*>(reinterpret_cast<unsigned char*>(this) +
+                                 kRingHeaderBytes);
+}
+
+usize FlightRecorder::ring_bytes() const {
+  return kRingHeaderBytes + capacity_ * sizeof(Slot);
+}
 
 FlightRecorder::ThreadRing& FlightRecorder::local_ring() {
   if (g_tls_ring.generation == generation_) {
@@ -103,37 +130,45 @@ FlightRecorder::ThreadRing& FlightRecorder::local_ring() {
   // different recorder since.  Rings are never destroyed while the recorder
   // lives, so finding this thread's earlier ring keeps its tid stable.
   const std::thread::id self = std::this_thread::get_id();
-  for (auto& existing : rings_) {
-    if (existing->owner == self) {
+  for (ThreadRing* ring = first_ring_; ring != nullptr; ring = ring->next) {
+    if (ring->owner == self) {
       g_tls_ring.generation = generation_;
-      g_tls_ring.ring = existing.get();
-      return *existing;
+      g_tls_ring.ring = ring;
+      return *ring;
     }
   }
-  auto ring = std::make_unique<ThreadRing>(narrow<u32>(rings_.size()), self,
-                                           capacity_);
-  ThreadRing& ref = *ring;
-  rings_.push_back(std::move(ring));
+  // A fresh anonymous mapping reads as zeros: every slot starts empty, and
+  // only the header's page is touched here.
+  void* mem = ::mmap(nullptr, ring_bytes(), PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (mem == MAP_FAILED) throw std::bad_alloc();
+  auto* ring = new (mem) ThreadRing;
+  ring->tid = ring_count_++;
+  ring->owner = self;
+  (last_ring_ != nullptr ? last_ring_->next : first_ring_) = ring;
+  last_ring_ = ring;
   g_tls_ring.generation = generation_;
-  g_tls_ring.ring = &ref;
-  return ref;
+  g_tls_ring.ring = ring;
+  return *ring;
 }
 
 void FlightRecorder::record(FrEventType type, i32 frame, i32 node, f64 a,
                             f64 b) {
   ThreadRing& ring = local_ring();
   const u64 idx = ring.head.load(std::memory_order_relaxed);
-  Slot& s = ring.slots[idx & (capacity_ - 1)];
+  Slot& s = ring.slots()[idx & (capacity_ - 1)];
   // Invalidate, fill, publish: a snapshotter that reads the slot mid-write
-  // sees a sequence number != its expected index and drops the slot.
-  s.seq.store(kInvalidSeq, std::memory_order_release);
-  s.type.store(static_cast<u16>(type), std::memory_order_relaxed);
-  s.frame.store(frame, std::memory_order_relaxed);
-  s.node.store(node, std::memory_order_relaxed);
-  s.ts_us.store(epoch_.elapsed_us(), std::memory_order_relaxed);
-  s.a.store(a, std::memory_order_relaxed);
-  s.b.store(b, std::memory_order_relaxed);
-  s.seq.store(idx, std::memory_order_release);
+  // sees a sequence number != its expected index + 1 and drops the slot.
+  std::atomic_ref(s.seq).store(0, std::memory_order_release);
+  std::atomic_ref(s.type).store(static_cast<u16>(type),
+                                std::memory_order_relaxed);
+  std::atomic_ref(s.frame).store(frame, std::memory_order_relaxed);
+  std::atomic_ref(s.node).store(node, std::memory_order_relaxed);
+  std::atomic_ref(s.ts_us).store(epoch_.elapsed_us(),
+                                 std::memory_order_relaxed);
+  std::atomic_ref(s.a).store(a, std::memory_order_relaxed);
+  std::atomic_ref(s.b).store(b, std::memory_order_relaxed);
+  std::atomic_ref(s.seq).store(idx + 1, std::memory_order_release);
   ring.head.store(idx + 1, std::memory_order_release);
 }
 
@@ -141,25 +176,30 @@ std::vector<FlightEvent> FlightRecorder::snapshot() const {
   std::vector<FlightEvent> out;
   {
     common::MutexLock lock(mutex_);
-    for (const auto& ring : rings_) {
+    for (ThreadRing* ring = first_ring_; ring != nullptr; ring = ring->next) {
       const u64 head = ring->head.load(std::memory_order_acquire);
       const u64 start = head > capacity_ ? head - capacity_ : 0;
       for (u64 i = start; i < head; ++i) {
-        const Slot& s = ring->slots[i & (capacity_ - 1)];
-        if (s.seq.load(std::memory_order_acquire) != i) continue;
+        Slot& s = ring->slots()[i & (capacity_ - 1)];
+        if (std::atomic_ref(s.seq).load(std::memory_order_acquire) != i + 1) {
+          continue;
+        }
         FlightEvent e;
-        e.type = static_cast<FrEventType>(s.type.load(std::memory_order_relaxed));
-        e.frame = s.frame.load(std::memory_order_relaxed);
-        e.node = s.node.load(std::memory_order_relaxed);
-        e.ts_us = s.ts_us.load(std::memory_order_relaxed);
-        e.a = s.a.load(std::memory_order_relaxed);
-        e.b = s.b.load(std::memory_order_relaxed);
+        e.type = static_cast<FrEventType>(
+            std::atomic_ref(s.type).load(std::memory_order_relaxed));
+        e.frame = std::atomic_ref(s.frame).load(std::memory_order_relaxed);
+        e.node = std::atomic_ref(s.node).load(std::memory_order_relaxed);
+        e.ts_us = std::atomic_ref(s.ts_us).load(std::memory_order_relaxed);
+        e.a = std::atomic_ref(s.a).load(std::memory_order_relaxed);
+        e.b = std::atomic_ref(s.b).load(std::memory_order_relaxed);
         e.tid = ring->tid;
         // Re-validate after the field reads: the writer invalidates seq
         // before touching fields, so an unchanged seq means no overwrite
         // raced this copy.
         std::atomic_thread_fence(std::memory_order_acquire);
-        if (s.seq.load(std::memory_order_relaxed) != i) continue;
+        if (std::atomic_ref(s.seq).load(std::memory_order_relaxed) != i + 1) {
+          continue;
+        }
         out.push_back(e);
       }
     }
@@ -174,7 +214,7 @@ std::vector<FlightEvent> FlightRecorder::snapshot() const {
 usize FlightRecorder::size() const {
   common::MutexLock lock(mutex_);
   usize n = 0;
-  for (const auto& ring : rings_) {
+  for (ThreadRing* ring = first_ring_; ring != nullptr; ring = ring->next) {
     const u64 head = ring->head.load(std::memory_order_acquire);
     n += static_cast<usize>(head > capacity_ ? capacity_ : head);
   }
@@ -184,7 +224,7 @@ usize FlightRecorder::size() const {
 u64 FlightRecorder::total_recorded() const {
   common::MutexLock lock(mutex_);
   u64 n = 0;
-  for (const auto& ring : rings_) {
+  for (ThreadRing* ring = first_ring_; ring != nullptr; ring = ring->next) {
     n += ring->head.load(std::memory_order_acquire);
   }
   return n;
@@ -192,14 +232,18 @@ u64 FlightRecorder::total_recorded() const {
 
 usize FlightRecorder::thread_count() const {
   common::MutexLock lock(mutex_);
-  return rings_.size();
+  return ring_count_;
 }
 
 void FlightRecorder::clear() {
   common::MutexLock lock(mutex_);
-  for (auto& ring : rings_) {
-    for (Slot& s : ring->slots) {
-      s.seq.store(kInvalidSeq, std::memory_order_relaxed);
+  for (ThreadRing* ring = first_ring_; ring != nullptr; ring = ring->next) {
+    // Only the live window holds published slots; pages past it stay
+    // untouched.
+    const u64 head = ring->head.load(std::memory_order_relaxed);
+    for (u64 i = head > capacity_ ? head - capacity_ : 0; i < head; ++i) {
+      std::atomic_ref(ring->slots()[i & (capacity_ - 1)].seq)
+          .store(0, std::memory_order_relaxed);
     }
     ring->head.store(0, std::memory_order_release);
   }

@@ -12,18 +12,22 @@
 //     call entirely — one relaxed atomic load and a predictable branch.
 //   * The ring wraps: a thread's oldest events are overwritten, memory use
 //     is bounded at capacity_per_thread events per thread, forever.
+//   * A ring is one anonymous mapping (header + slots), so registering it
+//     calls no malloc, and its pages become resident only as events are
+//     written into them: a thread that records a few events costs a few
+//     pages, not the whole ring.
 //
 // snapshot() is the cold path: it copies every thread's live window and
 // merges the events into one time-ordered stream (host-epoch microsecond
 // timestamps from a shared ScopedTimer, so cross-thread ordering is
 // meaningful).  A slot being overwritten *while* it is copied is detected
 // via its sequence number and dropped — readers never block writers and
-// never observe a torn event.  All slot fields are individual atomics, so
-// the concurrent overwrite is data-race-free (TSan-clean) by construction.
+// never observe a torn event.  Every slot field is read and written
+// atomically (std::atomic_ref), so the concurrent overwrite is
+// data-race-free (TSan-clean) by construction.
 #pragma once
 
 #include <atomic>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -107,6 +111,7 @@ class FlightRecorder {
   /// on the hot path); >= 64.
   explicit FlightRecorder(
       usize capacity_per_thread = kDefaultCapacityPerThread);
+  ~FlightRecorder();
 
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
@@ -138,32 +143,37 @@ class FlightRecorder {
   void clear() TC_EXCLUDES(mutex_);
 
  private:
-  static constexpr u64 kInvalidSeq = ~0ull;
-
+  /// One event.  All-zero bytes (an untouched page) are an empty slot;
+  /// every field is accessed through std::atomic_ref.
   struct Slot {
-    std::atomic<u64> seq{kInvalidSeq};
-    std::atomic<u16> type{0};
-    std::atomic<i32> frame{-1};
-    std::atomic<i32> node{-1};
-    std::atomic<f64> ts_us{0.0};
-    std::atomic<f64> a{0.0};
-    std::atomic<f64> b{0.0};
+    /// Event index + 1 once published; 0 while empty or being written.
+    u64 seq = 0;
+    u16 type = 0;
+    i32 frame = 0;
+    i32 node = 0;
+    f64 ts_us = 0.0;
+    f64 a = 0.0;
+    f64 b = 0.0;
   };
 
+  /// Header of one thread's mapping; capacity_ slots follow it.
   struct ThreadRing {
-    ThreadRing(u32 tid_, std::thread::id owner_, usize capacity)
-        : tid(tid_), owner(owner_), slots(capacity) {}
-    u32 tid;
+    u32 tid = 0;
     std::thread::id owner;
     /// Next event index of this ring; written only by the owning thread,
     /// read by snapshotters.
     std::atomic<u64> head{0};
-    std::vector<Slot> slots;
+    /// Next ring in registration order (linked under mutex_).
+    ThreadRing* next = nullptr;
+
+    [[nodiscard]] Slot* slots();
   };
 
   /// Find-or-register the calling thread's ring (mutex only on first call
   /// per thread; afterwards served from a thread_local cache).
   ThreadRing& local_ring() TC_EXCLUDES(mutex_);
+  /// Bytes of one ring's mapping.
+  [[nodiscard]] usize ring_bytes() const;
 
   usize capacity_;
   /// Process-unique id of this recorder instance.  The thread-local ring
@@ -173,7 +183,11 @@ class FlightRecorder {
   u64 generation_;
   ScopedTimer epoch_;
   mutable common::Mutex mutex_;
-  std::vector<std::unique_ptr<ThreadRing>> rings_ TC_GUARDED_BY(mutex_);
+  /// Registered rings, oldest first; none is unmapped while the recorder
+  /// lives.
+  ThreadRing* first_ring_ TC_GUARDED_BY(mutex_) = nullptr;
+  ThreadRing* last_ring_ TC_GUARDED_BY(mutex_) = nullptr;
+  u32 ring_count_ TC_GUARDED_BY(mutex_) = 0;
 };
 
 /// Serialize events as a JSON array (one compact object per event) — the

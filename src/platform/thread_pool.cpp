@@ -53,28 +53,6 @@ bool pin_to_core([[maybe_unused]] std::thread& thread,
 #endif
 }
 
-/// Run one queued job, recording a pool_job span and the pool metrics when
-/// observability is on.
-void run_job_observed(const std::function<void()>& job) {
-  if (!obs::enabled()) {
-    job();
-    return;
-  }
-  obs::ObsContext& ctx = obs::global();
-  const obs::ScopedTimer timer;
-  job();
-  const f64 wall_ms = timer.elapsed_ms();
-  ctx.flight.record(obs::FrEventType::PoolJob, -1, -1, wall_ms);
-  ctx.metrics
-      .counter("tripleC_pool_jobs_total", "Jobs executed by the thread pool")
-      .add();
-  ctx.metrics
-      .histogram("tripleC_pool_job_wall_ms",
-                 "Host wall-clock time per thread-pool job",
-                 obs::latency_buckets_ms())
-      .record(wall_ms);
-}
-
 }  // namespace
 
 IndexRange even_chunk(i32 count, i32 chunks, i32 chunk) {
@@ -87,6 +65,14 @@ IndexRange even_chunk(i32 count, i32 chunks, i32 chunk) {
 }
 
 ThreadPool::ThreadPool(usize threads, bool pin_threads) {
+  if (obs::enabled()) {
+    obs::MetricsRegistry& m = obs::global().metrics;
+    jobs_total_ = &m.counter("tripleC_pool_jobs_total",
+                             "Jobs executed by the thread pool");
+    job_wall_ms_ = &m.histogram("tripleC_pool_job_wall_ms",
+                                "Host wall-clock time per thread-pool job",
+                                obs::latency_buckets_ms());
+  }
   if (threads == 0) threads = static_cast<usize>(affinity_cores());
   workers_.reserve(threads);
   pinned_ = pin_threads;
@@ -105,24 +91,37 @@ ThreadPool::~ThreadPool() {
   for (std::thread& w : workers_) w.join();
 }
 
+void ThreadPool::run_job(const std::function<void()>& job) {
+  if (!obs::enabled()) {
+    job();
+    return;
+  }
+  const obs::ScopedTimer timer;
+  job();
+  const f64 wall_ms = timer.elapsed_ms();
+  obs::global().flight.record(obs::FrEventType::PoolJob, -1, -1, wall_ms);
+  if (jobs_total_ != nullptr) {
+    jobs_total_->add();
+    job_wall_ms_->record(wall_ms);
+  }
+}
+
 void ThreadPool::worker_loop() {
   tls_worker_of = this;
   for (;;) {
-    std::function<void()> fn;
-    usize* batch_remaining = nullptr;
+    Job job{};
     {
       common::MutexLock lock(mutex_);
-      cv_.wait(mutex_,
-               [this]() TC_REQUIRES(mutex_) { return stop_ || !queue_.empty(); });
-      if (stop_ && queue_.empty()) return;
-      fn = std::move(queue_.front().fn);
-      batch_remaining = queue_.front().batch_remaining;
-      queue_.pop();
+      cv_.wait(mutex_, [this]() TC_REQUIRES(mutex_) {
+        return stop_ || next_ < pending_.size();
+      });
+      if (next_ == pending_.size()) return;  // stopping, nothing left
+      job = pending_[next_++];
     }
-    run_job_observed(fn);
+    run_job(*job.fn);
     {
       common::MutexLock lock(mutex_);
-      if (--*batch_remaining == 0) done_cv_.notify_all();
+      if (--*job.batch_remaining == 0) done_cv_.notify_all();
     }
   }
 }
@@ -138,7 +137,10 @@ void ThreadPool::run_all(std::vector<std::function<void()>> jobs) {
   usize remaining = jobs.size();
   {
     common::MutexLock lock(mutex_);
-    for (auto& j : jobs) queue_.push(Job{std::move(j), &remaining});
+    pending_.erase(pending_.begin(),
+                   pending_.begin() + narrow<std::ptrdiff_t>(next_));
+    next_ = 0;
+    for (const auto& j : jobs) pending_.push_back(Job{&j, &remaining});
   }
   cv_.notify_all();
   common::MutexLock lock(mutex_);

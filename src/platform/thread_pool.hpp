@@ -6,12 +6,16 @@
 #pragma once
 
 #include <functional>
-#include <queue>
 #include <thread>
 #include <vector>
 
 #include "common/sync.hpp"
 #include "common/types.hpp"
+
+namespace tc::obs {
+class Counter;
+class Histogram;
+}  // namespace tc::obs
 
 namespace tc::plat {
 
@@ -40,6 +44,8 @@ class ThreadPool {
   /// *these* jobs finished — concurrent callers never wait for each other's
   /// batches.  Called from one of this pool's workers (a job that fans out
   /// again) the jobs run inline on that worker, so nesting cannot deadlock.
+  /// The jobs stay in `jobs`, on the calling thread: a worker only calls
+  /// them, so it never allocates or frees on the job's behalf.
   void run_all(std::vector<std::function<void()>> jobs);
 
   /// Split [0, count) into `chunks` contiguous ranges and run
@@ -51,22 +57,33 @@ class ThreadPool {
                        i32 max_concurrent = 0);
 
  private:
-  /// A queued job and the unfinished-job count of the run_all batch it
-  /// belongs to (guarded by mutex_; lives on the calling thread's stack).
+  /// A job lent by a run_all caller and the unfinished-job count of its
+  /// batch; both live on the caller's stack until the batch finished.
   struct Job {
-    std::function<void()> fn;
+    const std::function<void()>* fn;
     usize* batch_remaining;
   };
 
   void worker_loop();
+  /// Run one job, recording a pool_job span and the pool metrics when
+  /// observability is on.
+  void run_job(const std::function<void()>& job);
 
   std::vector<std::thread> workers_;
   common::Mutex mutex_;
-  std::queue<Job> queue_ TC_GUARDED_BY(mutex_);
+  /// Lent jobs; workers claim them in order from `next_`.  Callers drop the
+  /// claimed prefix before appending, so the list never outgrows the jobs
+  /// pending at once and workers never free its storage.
+  std::vector<Job> pending_ TC_GUARDED_BY(mutex_);
+  usize next_ TC_GUARDED_BY(mutex_) = 0;
   common::CondVar cv_;
   common::CondVar done_cv_;
   bool stop_ TC_GUARDED_BY(mutex_) = false;
   bool pinned_ = false;
+  /// The pool's instruments, registered at construction when observability
+  /// is on (null otherwise), so a job's metrics never look anything up.
+  obs::Counter* jobs_total_ = nullptr;
+  obs::Histogram* job_wall_ms_ = nullptr;
 };
 
 /// Compute the `chunk`-th of `chunks` contiguous ranges covering [0, count):

@@ -80,7 +80,7 @@ app::InstanceBudget budget_for_plan(const PlanChoice& choice, i32 pool_threads,
   i32 widest = 1;
   for (i32 stripes : choice.plan) widest = std::max(widest, stripes);
   budget.max_concurrent = std::min(widest, share);
-  budget.feature_batches = std::clamp(share, 1, 4);
+  budget.pool_share = share;
   return budget;
 }
 

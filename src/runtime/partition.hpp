@@ -68,9 +68,10 @@ enumerate_plan_candidates(
 /// `frames_in_flight` frames sharing a `pool_threads`-worker pool (stage
 /// pipelining), each frame may run at most pool/frames_in_flight instances
 /// concurrently — capped further by the widest stripe count the plan
-/// actually asks for.  Feature-level batching (MKX/CPLS) follows the same
-/// per-frame share, clamped to [1, 4].  Pure function of its inputs; the
-/// budget throttles *host* concurrency only and never changes WorkReports.
+/// actually asks for.  The share itself is the budget's pool_share (the
+/// camera's render bands; MKX/CPLS batching, capped at 4).  Pure function
+/// of its inputs; the budget throttles *host* concurrency only and never
+/// changes WorkReports.
 [[nodiscard]] app::InstanceBudget budget_for_plan(const PlanChoice& choice,
                                                   i32 pool_threads,
                                                   i32 frames_in_flight);

@@ -65,6 +65,30 @@ TEST(ParallelEquivalencePool, StripedWithThreadPoolMatchesSerial) {
   expect_equivalent_run(serial, striped, 25);
 }
 
+TEST(ParallelEquivalencePool, BandedRenderMatchesSerialOnARejectedNoiseDraw) {
+  // Frame 76 of seed 443 at 128 x 128 draws a raw 0 that Box-Muller rejects
+  // (RenderIdentity.RejectedNoiseDrawMatchesForEverySplit): the pooled app
+  // renders its frames in 4 bands on the pool, so the bands past the
+  // rejection are shaded again; every admitted frame and output must still
+  // equal the serial app's.
+  const StentBoostConfig config = StentBoostConfig::make(128, 128, 80, 443);
+  plat::ThreadPool pool(4);
+  StentBoostApp serial(config);
+  StentBoostApp pooled(config, &pool);
+  InstanceBudget budget;
+  budget.pool_share = 4;
+  pooled.set_instance_budget(budget);
+  for (i32 t = 72; t <= 76; ++t) {
+    const graph::FrameRecord rs = serial.process_frame(t);
+    const graph::FrameRecord rp = pooled.process_frame(t);
+    ASSERT_EQ(rs.scenario, rp.scenario) << "frame " << t;
+    ASSERT_TRUE(*serial.stream().front().prev_frame ==
+                *pooled.stream().front().prev_frame)
+        << "frame " << t;
+    ASSERT_EQ(serial.last_output(), pooled.last_output()) << "frame " << t;
+  }
+}
+
 TEST(ParallelEquivalencePool, SimulatedTimeIndependentOfPoolPresence) {
   // Host parallelism must not leak into the simulated platform timing.
   plat::ThreadPool pool(4);

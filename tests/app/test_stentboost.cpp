@@ -1,5 +1,7 @@
 #include "app/stentboost.hpp"
 
+#include <array>
+
 #include <gtest/gtest.h>
 
 #include "graph/scenario.hpp"
@@ -186,6 +188,53 @@ TEST(StentBoost, StripePlanAffectsSimulatedTime) {
   graph::FrameRecord rp = striped.process_frame(0);
   EXPECT_LT(rp.find(kRdgFull)->simulated_ms,
             0.5 * rs.find(kRdgFull)->simulated_ms);
+}
+
+/// Admit frame `t` with the front state forced to ridge detection on the
+/// given ROI (full frame when empty), run its front and return the context
+/// (valid until retire_and_recycle).
+FrameContext& run_forced_front(StentBoostApp& app, i32 t, Rect roi) {
+  FrameContext& ctx = *app.admit_frame(t);
+  ctx.front.rdg_active = true;
+  ctx.front.roi_valid = !roi.empty();
+  ctx.front.roi = roi;
+  app.run_front(ctx);
+  return ctx;
+}
+
+void retire_and_recycle(StentBoostApp& app, FrameContext& ctx) {
+  app.run_back(ctx);
+  (void)app.retire_frame(ctx);
+}
+
+TEST(StentBoost, ReusedRidgePlanesMatchFreshOnesAcrossRoiChanges) {
+  // One context's planes go through full -> ROI -> smaller ROI -> shifted
+  // ROI -> full frames; every pixel its RDG did not write this frame must
+  // read zero, as in a fresh context's planes.
+  const std::array<Rect, 5> rois{Rect{}, Rect{16, 20, 96, 88},
+                                 Rect{40, 44, 48, 40}, Rect{52, 30, 48, 40},
+                                 Rect{}};
+  for (const i32 stripes : {1, 3}) {
+    StripePlan plan = serial_plan();
+    plan[kRdgFull] = stripes;
+    plan[kRdgRoi] = stripes;
+    StentBoostApp reused(fast_config());
+    reused.set_stripe_plan(plan);
+    for (usize i = 0; i < rois.size(); ++i) {
+      const i32 t = 40 + static_cast<i32>(i);
+      StentBoostApp fresh_app(fast_config());
+      fresh_app.set_stripe_plan(plan);
+      FrameContext& ctx = run_forced_front(reused, t, rois[i]);
+      FrameContext& fresh = run_forced_front(fresh_app, t, rois[i]);
+      ASSERT_TRUE(ctx.ridge_valid);
+      EXPECT_TRUE(ctx.ridge.response == fresh.ridge.response)
+          << "stripes " << stripes << " step " << i;
+      EXPECT_TRUE(ctx.ridge.blobness == fresh.ridge.blobness)
+          << "stripes " << stripes << " step " << i;
+      retire_and_recycle(reused, ctx);
+      retire_and_recycle(fresh_app, fresh);
+    }
+  }
 }
 
 TEST(StentBoost, ScenarioLabelsWellFormed) {

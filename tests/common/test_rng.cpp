@@ -116,5 +116,43 @@ TEST(Pcg32, UniformBitsAreBalanced) {
   EXPECT_NEAR(static_cast<f64>(ones) / n, 0.5, 0.02);
 }
 
+TEST(Pcg32, AdvanceEqualsThatManyDraws) {
+  for (const u64 n : {u64{0}, u64{1}, u64{2}, u64{3}, u64{1000},
+                      (u64{1} << 20) + 7}) {
+    Pcg32 stepped(99, 5);
+    for (u64 i = 0; i < n; ++i) (void)stepped.next_u32();
+    Pcg32 jumped(99, 5);
+    jumped.advance(n);
+    EXPECT_EQ(jumped.state(), stepped.state()) << "n=" << n;
+    for (i32 i = 0; i < 4; ++i) {
+      EXPECT_EQ(jumped.next_u32(), stepped.next_u32()) << "n=" << n;
+    }
+  }
+}
+
+TEST(Pcg32, AdvanceComposes) {
+  for (const auto& [a, b] : {std::pair<u64, u64>{0, 5}, {7, 0}, {13, 999},
+                             {1u << 16, (1u << 20) + 3}}) {
+    Pcg32 twice(4, 2);
+    twice.advance(a);
+    twice.advance(b);
+    Pcg32 once(4, 2);
+    once.advance(a + b);
+    EXPECT_EQ(twice.state(), once.state()) << a << " + " << b;
+  }
+}
+
+TEST(Pcg32, AdvanceKeepsTheCachedNormal) {
+  Pcg32 a(31, 7);
+  Pcg32 b(31, 7);
+  (void)a.normal();  // draws a pair, caches its second variate
+  (void)b.normal();
+  a.advance(12345);
+  // The cached variate is served without a draw.
+  EXPECT_EQ(a.normal(), b.normal());
+  b.advance(12345);
+  EXPECT_EQ(a.state(), b.state());
+}
+
 }  // namespace
 }  // namespace tc

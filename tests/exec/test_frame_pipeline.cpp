@@ -142,7 +142,7 @@ TEST(FramePipeline, ThrottledBudgetSerializesInstancesIdentically) {
   plan[app::kZoom] = 3;
   app::InstanceBudget budget;
   budget.max_concurrent = 1;
-  budget.feature_batches = 3;
+  budget.pool_share = 3;
   run_comparison(plan, /*frames_in_flight=*/2, budget, /*pool_threads=*/4);
 }
 

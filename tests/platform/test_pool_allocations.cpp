@@ -1,0 +1,91 @@
+// A pool worker that runs jobs allocates and frees nothing: run_all lends
+// the jobs from the caller's vector, the pool's instruments exist before
+// its first job, and a flight-recorder ring is a mapping, not a heap block.
+// Memory a worker allocates stays in its own allocator arena, so a worker
+// that touches the heap once per job grows the process for good.
+//
+// This file replaces the global operator new/delete of the test binary
+// with counting versions.  The counts are thread-local, so a job reads
+// exactly what its worker thread allocated and freed.
+
+#include <cstdlib>
+#include <functional>
+#include <new>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "common/types.hpp"
+#include "obs/obs.hpp"
+#include "platform/thread_pool.hpp"
+
+namespace {
+
+thread_local tc::u64 tls_allocs = 0;
+thread_local tc::u64 tls_frees = 0;
+
+void* counted_alloc(std::size_t n) {
+  ++tls_allocs;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+
+void counted_free(void* p) {
+  if (p != nullptr) ++tls_frees;
+  std::free(p);
+}
+
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+
+namespace tc::plat {
+namespace {
+
+struct HeapCounts {
+  u64 allocs = 0;
+  u64 frees = 0;
+};
+
+/// Heap operations one worker makes while it runs 1,000 jobs: the counts
+/// its first job reads, against those a job of a later batch reads.
+HeapCounts worker_heap_use(bool obs_on) {
+  obs::set_enabled(obs_on);
+  ThreadPool pool(1);
+  constexpr i32 kJobs = 1000;
+  std::vector<HeapCounts> seen(kJobs + 1);
+  pool.parallel_ranges(kJobs, kJobs, [&seen](i32 c, IndexRange) {
+    seen[static_cast<usize>(c)] = HeapCounts{tls_allocs, tls_frees};
+  });
+  std::vector<std::function<void()>> last;
+  last.emplace_back([&seen] {
+    seen[kJobs] = HeapCounts{tls_allocs, tls_frees};
+  });
+  pool.run_all(std::move(last));
+  obs::set_enabled(false);
+  return HeapCounts{seen[kJobs].allocs - seen[0].allocs,
+                    seen[kJobs].frees - seen[0].frees};
+}
+
+TEST(ThreadPoolHeap, WorkerRunsJobsWithoutTouchingTheHeap) {
+  const HeapCounts use = worker_heap_use(/*obs_on=*/false);
+  EXPECT_EQ(use.allocs, 0u);
+  EXPECT_EQ(use.frees, 0u);
+}
+
+TEST(ThreadPoolHeap, ObservedWorkerRunsJobsWithoutTouchingTheHeap) {
+  // With obs on, each job records a pool_job event (registering the
+  // worker's flight ring on the first) and the pool's job metrics.
+  const HeapCounts use = worker_heap_use(/*obs_on=*/true);
+  EXPECT_EQ(use.allocs, 0u);
+  EXPECT_EQ(use.frees, 0u);
+  obs::global().clear();
+}
+
+}  // namespace
+}  // namespace tc::plat
