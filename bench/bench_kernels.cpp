@@ -117,13 +117,10 @@ void BM_Enhance(benchmark::State& state) {
 }
 BENCHMARK(BM_Enhance)->Arg(1024);
 
-/// The synthetic camera on bolus frame 60 (vessel tree stamped): one band
-/// on the calling thread, or `bands` row bands on a pool of as many threads.
-void synthetic_render(benchmark::State& state, i32 bands) {
-  const i32 size = static_cast<i32>(state.range(0));
-  img::SequenceParams p;
-  p.width = size;
-  p.height = size;
+/// The synthetic camera rendering frame `t` of `p`: one band on the calling
+/// thread, or `bands` row bands on a pool of as many threads.
+void synthetic_render(benchmark::State& state, const img::SequenceParams& p,
+                      i32 t, i32 bands) {
   const img::AngioSequence seq(p);
   plat::ThreadPool pool(static_cast<usize>(bands));
   img::RowBandRunner runner;
@@ -134,20 +131,40 @@ void synthetic_render(benchmark::State& state, i32 bands) {
     };
   }
   for (auto _ : state) {
-    img::ImageU16 frame = seq.render(60, runner);
+    img::ImageU16 frame = seq.render(t, runner);
     benchmark::DoNotOptimize(frame.data());
     benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * size * size);
+  state.SetItemsProcessed(state.iterations() * p.width * p.height);
 }
 
-void BM_SyntheticRender(benchmark::State& state) { synthetic_render(state, 1); }
+/// The default scene at `size`² on bolus frame 60 (vessel tree stamped).
+img::SequenceParams default_scene(const benchmark::State& state) {
+  img::SequenceParams p;
+  p.width = static_cast<i32>(state.range(0));
+  p.height = p.width;
+  return p;
+}
+
+void BM_SyntheticRender(benchmark::State& state) {
+  synthetic_render(state, default_scene(state), 60, 1);
+}
 BENCHMARK(BM_SyntheticRender)->Arg(256)->Arg(1024);
 
 void BM_SyntheticRender4Bands(benchmark::State& state) {
-  synthetic_render(state, 4);
+  synthetic_render(state, default_scene(state), 60, 4);
 }
 BENCHMARK(BM_SyntheticRender4Bands)->Arg(1024)->UseRealTime();
+
+/// e2ebench fleet_256's first stream (seed 65536) on one band, on the
+/// frame given: 60 stamps the vessel tree, 10 comes before the bolus and
+/// stamps the guide wire and markers only, so it is almost all shading.
+void BM_SyntheticRenderFleetScene(benchmark::State& state) {
+  const app::StentBoostConfig c =
+      app::StentBoostConfig::make(256, 256, 300, 65536);
+  synthetic_render(state, c.sequence, static_cast<i32>(state.range(0)), 1);
+}
+BENCHMARK(BM_SyntheticRenderFleetScene)->Arg(60)->Arg(10);
 
 void BM_FullPipelineFrame(benchmark::State& state) {
   app::StentBoostConfig c = app::StentBoostConfig::make(256, 256, 100000, 6);

@@ -15,8 +15,9 @@
 // re-rendered independently, which the striped/parallel executors rely on.
 // A frame renders in row bands, on the calling thread or on a pool (the
 // app hands render() its frame's share of the pool): each band stamps the
-// scene into its own rows and draws its quantum noise from its own offset
-// of the frame's noise stream, so the bytes do not depend on the split.
+// scene into its rows one row at a time, shading each row at once, and
+// draws its quantum noise from its own offset of the frame's noise stream,
+// so the bytes do not depend on the split.
 #pragma once
 
 #include <vector>
@@ -93,8 +94,8 @@ class AngioSequence {
   /// Render frame `t` (16-bit, higher value = more transmission = brighter).
   /// `bands` (optional) runs the frame's row bands, e.g. on a pool; the
   /// bytes depend neither on it nor on how it splits or orders the rows.
-  /// The images are allocated here, on the calling thread, and a band
-  /// allocates nothing.
+  /// The image and the frame's stamp lists are allocated here, on the
+  /// calling thread, and a band allocates nothing.
   [[nodiscard]] ImageU16 render(i32 t, const RowBandRunner& bands = {}) const;
 
   /// Ground truth for frame `t`.

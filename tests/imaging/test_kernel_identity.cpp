@@ -12,9 +12,12 @@
 
 #include <gtest/gtest.h>
 
+#include "app/stentboost.hpp"
 #include "common/rng.hpp"
 #include "imaging/pipeline.hpp"
 #include "imaging/synthetic.hpp"
+#include "imaging/synthetic_stamp.hpp"
+#include "platform/thread_pool.hpp"
 
 namespace tc::img {
 namespace {
@@ -708,6 +711,105 @@ TEST(RenderIdentity, MatchesPerPixelReferenceAtThePaperFormat) {
     EXPECT_TRUE(seq.render(t) == ref) << "t=" << t;
     EXPECT_TRUE(seq.render(t, split_runner(4, true)) == ref) << "t=" << t;
     EXPECT_TRUE(seq.render(t, split_runner(7, false)) == ref) << "t=" << t;
+  }
+}
+
+/// Frames of a 300-frame or longer bolus scene: the first the vessel tree
+/// is stamped on (depth about 3.3e-3), the plateau, the washout's start,
+/// the last above the 1e-3 cutoff, and the first with the markers hidden.
+std::vector<i32> bolus_frames(const AngioSequence& seq) {
+  std::vector<i32> frames{31, 60, 150, 292};
+  for (i32 t = 0; t < seq.frames(); ++t) {
+    if (!seq.truth(t).markers_visible) {
+      frames.push_back(t);
+      break;
+    }
+  }
+  EXPECT_EQ(frames.size(), 5u) << "no marker-dropout frame in the sequence";
+  EXPECT_GT(seq.truth(31).contrast_level * seq.params().vessel_contrast_peak,
+            1e-3);
+  EXPECT_EQ(seq.truth(30).contrast_level, 0.0);
+  EXPECT_GT(seq.truth(292).contrast_level * seq.params().vessel_contrast_peak,
+            1e-3);
+  EXPECT_LT(seq.truth(293).contrast_level * seq.params().vessel_contrast_peak,
+            1e-3);
+  return frames;
+}
+
+/// Renders on `pool` in one band per thread.
+RowBandRunner pool_runner(plat::ThreadPool& pool) {
+  return [&pool](i32 rows, const std::function<void(IndexRange)>& body) {
+    pool.parallel_ranges(rows, static_cast<i32>(pool.thread_count()),
+                         [&body](i32, IndexRange band) { body(band); });
+  };
+}
+
+TEST(RenderIdentity, MatchesPerPixelReferenceOnTheBenchmarkScenes) {
+  // e2ebench's scenes: fleet_256's round-0 streams at seed 1 (the widest
+  // vessel reach and vessels clipped at every border), then roi_1024's.
+  plat::ThreadPool pool(4);
+  const RowBandRunner four_bands = pool_runner(pool);
+  std::vector<app::StentBoostConfig> scenes;
+  for (u64 s = 65536; s <= 65539; ++s) {
+    scenes.push_back(app::StentBoostConfig::make(256, 256, 300, s));
+  }
+  scenes.push_back(app::StentBoostConfig::make(1024, 1024, 400, 1));
+  // With glibc's exp, one pixel of each of these frames fails the stamp
+  // guard and takes the fallback: the only 2 of 74 M guarded pixels that
+  // did in five 256² streams of 300 frames and two 1024² scenes of 200.
+  const std::vector<std::pair<u64, i32>> guard_fallback_frames{{65536, 253},
+                                                               {65539, 171}};
+  for (const app::StentBoostConfig& c : scenes) {
+    const AngioSequence seq(c.sequence);
+    std::vector<i32> frames = bolus_frames(seq);
+    for (const auto& [seed, t] : guard_fallback_frames) {
+      if (c.sequence.width == 256 && c.sequence.seed == seed) {
+        frames.push_back(t);
+      }
+    }
+    for (const i32 t : frames) {
+      const ImageU16 ref = reference_render(seq, t);
+      EXPECT_TRUE(seq.render(t) == ref)
+          << c.sequence.width << "² seed " << c.sequence.seed << " t=" << t;
+      EXPECT_TRUE(seq.render(t, four_bands) == ref)
+          << c.sequence.width << "² seed " << c.sequence.seed << " t=" << t
+          << " on 4 bands";
+    }
+  }
+}
+
+TEST(RenderIdentity, StampGuardFallsBackBelowAnF32RoundingMidpoint) {
+  // A horizontal segment through pixel centres, 16 px long: every step's
+  // t_par is rx exactly, so perp2 == 0 and g == 1 on row 5.  A depth one
+  // ulp below the midpoint of two f32 values rounds down, but g * kGuard
+  // rounds up: the guard must evaluate every step there.
+  const f32 lo = 0.3f;
+  const f64 midpoint =
+      (static_cast<f64>(lo) + static_cast<f64>(std::nextafter(lo, 1.0f))) / 2;
+  const f64 below_midpoint = std::nextafter(midpoint, 0.0);
+  ASSERT_EQ(static_cast<f32>(below_midpoint), lo);
+  const Point2f a{4.0, 5.0};
+  const Point2f b{20.0, 5.0};
+  const f64 half_width = 1.0;  // reach 3: columns 1..23 of row 5
+
+  std::vector<stamp::Segment> segments{stamp::make_segment(a, b, half_width)};
+  std::vector<stamp::Step> steps;
+  stamp::add_steps(segments[0], steps);
+  for (const f64 depth : {below_midpoint, 0.3}) {
+    const stamp::Group group{segments, depth};
+    ImageF32 ref(32, 11, 0.0f);
+    reference_stamp_line(ref, a, b, half_width, depth);
+    for (i32 y = 0; y < ref.height(); ++y) {
+      std::vector<f32> row(32, 0.0f);
+      const usize fallbacks = stamp::stamp_row(group, steps, y, 0, row);
+      if (y == 5) {
+        EXPECT_EQ(fallbacks, depth == 0.3 ? 0u : 23u) << "depth " << depth;
+      }
+      for (i32 x = 0; x < ref.width(); ++x) {
+        EXPECT_EQ(row[static_cast<usize>(x)], ref.at(x, y))
+            << "depth " << depth << " at (" << x << ", " << y << ")";
+      }
+    }
   }
 }
 

@@ -1,11 +1,10 @@
-// Set-associative LRU cache simulator.
+// Set-associative LRU cache simulator: the test oracle of the buffer model.
 //
 // The Triple-C bandwidth analysis uses the *analytical* space-time
-// buffer-occupation model (buffer_model.hpp); this simulator provides an
-// independent reference: replaying a task's access trace through it yields
-// the actual miss traffic, which the tests compare against the analytical
-// prediction.  It also lets users study access-pattern effects (streaming
-// vs. re-use) that the analytical model abstracts away.
+// buffer-occupation model (platform/buffer_model.hpp); this simulator
+// provides an independent reference: replaying a task's access trace
+// through it yields the actual miss traffic, which the tests compare
+// against the analytical prediction.
 #pragma once
 
 #include <vector>

@@ -1,4 +1,4 @@
-#include "platform/cache_sim.hpp"
+#include "cache_sim.hpp"
 
 #include <gtest/gtest.h>
 

@@ -2,12 +2,14 @@
 // the jobs from the caller's vector, the pool's instruments exist before
 // its first job, and a flight-recorder ring is a mapping, not a heap block.
 // Memory a worker allocates stays in its own allocator arena, so a worker
-// that touches the heap once per job grows the process for good.
+// that touches the heap once per job grows the process for good.  The
+// synthetic camera's bands, which the app runs on the pool, keep that.
 //
 // This file replaces the global operator new/delete of the test binary
 // with counting versions.  The counts are thread-local, so a job reads
 // exactly what its worker thread allocated and freed.
 
+#include <array>
 #include <cstdlib>
 #include <functional>
 #include <new>
@@ -16,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "common/types.hpp"
+#include "imaging/synthetic.hpp"
 #include "obs/obs.hpp"
 #include "platform/thread_pool.hpp"
 
@@ -85,6 +88,69 @@ TEST(ThreadPoolHeap, ObservedWorkerRunsJobsWithoutTouchingTheHeap) {
   EXPECT_EQ(use.allocs, 0u);
   EXPECT_EQ(use.frees, 0u);
   obs::global().clear();
+}
+
+/// A camera whose frame 5 is before the bolus and frame 60 in it, with the
+/// markers visible on both (so both stamp the guide wire).
+img::AngioSequence camera(i32 size) {
+  img::SequenceParams p;
+  p.width = size;
+  p.height = size;
+  img::AngioSequence seq(p);
+  EXPECT_EQ(seq.truth(5).contrast_level, 0.0);
+  EXPECT_GT(seq.truth(60).contrast_level, 0.0);
+  EXPECT_TRUE(seq.truth(5).markers_visible && seq.truth(60).markers_visible);
+  return seq;
+}
+
+TEST(RenderHeap, BandsOnPoolWorkersAllocateNothing) {
+  // Every band of every frame, from a fresh pool's first job on: a band
+  // keeps its row scratch on its stack.
+  for (const bool obs_on : {false, true}) {
+    for (const i32 size : {256, 1024}) {
+      obs::set_enabled(obs_on);
+      const img::AngioSequence seq = camera(size);
+      ThreadPool pool(4);
+      constexpr i32 kBands = 4;
+      std::array<HeapCounts, kBands> used{};
+      const img::RowBandRunner runner =
+          [&](i32 rows, const std::function<void(IndexRange)>& body) {
+            pool.parallel_ranges(rows, kBands, [&](i32 c, IndexRange band) {
+              const HeapCounts before{tls_allocs, tls_frees};
+              body(band);
+              HeapCounts& u = used[static_cast<usize>(c)];
+              u.allocs += tls_allocs - before.allocs;
+              u.frees += tls_frees - before.frees;
+            });
+          };
+      for (const i32 t : {5, 60, 61}) (void)seq.render(t, runner);
+      obs::set_enabled(false);
+      for (i32 c = 0; c < kBands; ++c) {
+        EXPECT_EQ(used[static_cast<usize>(c)].allocs, 0u)
+            << size << "² band " << c << (obs_on ? " obs on" : "");
+        EXPECT_EQ(used[static_cast<usize>(c)].frees, 0u)
+            << size << "² band " << c << (obs_on ? " obs on" : "");
+      }
+    }
+  }
+  obs::global().clear();
+}
+
+TEST(RenderHeap, CallingThreadAllocatesAsOftenBeforeTheBolusAsInIt) {
+  // The stamp lists are sized before they are filled, so a frame with the
+  // vessel tree allocates no more often than one with the guide wire only.
+  for (const i32 size : {256, 1024}) {
+    const img::AngioSequence seq = camera(size);
+    std::array<HeapCounts, 2> used{};
+    for (usize i = 0; i < used.size(); ++i) {
+      const HeapCounts before{tls_allocs, tls_frees};
+      const img::ImageU16 frame = seq.render(i == 0 ? 5 : 60);
+      used[i] =
+          HeapCounts{tls_allocs - before.allocs, tls_frees - before.frees};
+    }
+    EXPECT_EQ(used[0].allocs, used[1].allocs) << size << "²";
+    EXPECT_EQ(used[0].frees, used[1].frees) << size << "²";
+  }
 }
 
 }  // namespace
